@@ -203,8 +203,9 @@ race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/parallel
 	GOMAXPROCS=4 $(GO) test -race -run 'WorkerCountInvariance|ProgressSerialized' ./internal/zoo
 	GOMAXPROCS=4 $(GO) test -race -run 'WorkerCountInvariance' ./internal/fingerprint
-	GOMAXPROCS=4 $(GO) test -race -run 'ParallelPipelineMatchesSerial|ObsReconcilesWithCampaign|RunAllContextCancel' ./internal/core
+	GOMAXPROCS=4 $(GO) test -race -run 'ParallelPipelineMatchesSerial|ObsReconcilesWithCampaign|RunAllContextCancel|HierFusedCampaignWorkerInvariant' ./internal/core
 	GOMAXPROCS=4 $(GO) test -race -run 'Snapshot|OrderedSink|Serve|Histogram|Tracer|Flight|Progress' ./internal/obs
+	GOMAXPROCS=4 $(GO) test -race ./internal/service
 
 bench:
 	$(GO) test -bench=. -benchmem

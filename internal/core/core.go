@@ -48,12 +48,13 @@ type Attack struct {
 	// identifier uses (nil = equal weights). Prepare fills them from each
 	// classifier's calibration accuracy on its training set.
 	FusionWeights map[fingerprint.Modality]float64
-	// Hier, when non-nil, replaces the flat classifier in the Identify
-	// stage with the two-level family→release identifier (trained when
-	// PrepareConfig.Hierarchical is set). The flat classifier is still
-	// trained — fused multi-modal identification and calibration use it —
-	// but single-trace identification walks the hierarchy, whose cost
-	// stays sub-linear in the zoo's release count.
+	// Hier, when non-nil, replaces the flat classifier as the trace
+	// sensor's identifier: the two-level family→release hierarchy
+	// (trained when PrepareConfig.Hierarchical is set), whose cost stays
+	// sub-linear in the zoo's release count. Its posterior
+	// (Hierarchical.Posterior) hard-gates on the top-scoring family and
+	// fuses with the other sensors like the flat CNN's would. The flat
+	// classifier is still trained: fusion-weight calibration uses it.
 	Hier       *fingerprint.Hierarchical
 	ExtractCfg extract.Config
 	// Obs receives the attack's cost accounting (phase wall times, victim
@@ -239,10 +240,10 @@ type Report struct {
 	// the expensive rowhammer phase.
 	ArchConfirmed bool
 	// Modalities lists the measurement channels that contributed to this
-	// identification (multi-modal runs only; empty means the legacy
-	// trace-only path). JammedModalities lists requested sensors that
-	// were jammed; IdentifyDegraded is set when any requested sensor was
-	// jammed or absent and the run fell back to the survivors.
+	// identification — nil on a default trace-only run (see
+	// RunOptions.Modalities). JammedModalities lists requested sensors
+	// that were jammed; IdentifyDegraded is set when any requested sensor
+	// was jammed or absent and the run fell back to the survivors.
 	Modalities       []string
 	JammedModalities []string
 	IdentifyDegraded bool
@@ -533,13 +534,14 @@ type RunOptions struct {
 	// MeasureSeed seeds the victim trace measurement.
 	MeasureSeed uint64
 	// Modalities selects the level-1 measurement channels for
-	// identification (nil = the paper's kernel trace alone, which keeps
-	// the legacy stage path byte-for-byte). With more than one modality
-	// the victim still runs once — every sensor is passive — and the
-	// per-modality posteriors fuse into one identification. A requested
-	// modality whose classifier was never trained degrades the run to the
-	// surviving sensors (metered on core.modality_absent) instead of
-	// failing it.
+	// identification. nil is the paper's kernel trace alone: the
+	// one-sensor case of fusion, identifying exactly as the trace
+	// identifier's top prediction, with the report's modality fields left
+	// empty. With more than one modality the victim still runs once —
+	// every sensor is passive — and the per-modality posteriors fuse into
+	// one identification. A requested modality whose classifier was never
+	// trained degrades the run to the surviving sensors (metered on
+	// core.modality_absent) instead of failing it.
 	Modalities []fingerprint.Modality
 	// Jammed lists sensors an active countermeasure blinds this run:
 	// their channels record nothing, the run degrades to the surviving
@@ -751,23 +753,17 @@ func (a *Attack) RunContext(ctx context.Context, victim *zoo.FineTuned, opt RunO
 		vq.Inc()
 		return victim.Model().Predict(tokens)
 	}
+	mods := normalizeModalities(opt.Modalities)
+	sensors := make([]sensorStage, len(mods))
+	for i, m := range mods {
+		sensors[i] = newSensor(m, r)
+	}
 	eng := &pipeline.Engine{
-		Trace:        r,
-		Identify:     r,
+		Trace:        &multiMeasure{r: r, sensors: sensors},
+		Identify:     &fusedIdentify{r: r},
 		Disambiguate: r,
 		Extract:      r, // attackRun is also Gated: the bus-probe arch check gates rowhammer
 		Evaluate:     r,
-	}
-	if multiModal(opt) {
-		// Multi-modal runs swap in the composite sensor stages; the
-		// single-trace un-jammed default keeps the legacy implementations
-		// (and their byte-identical outputs) untouched.
-		sensors := make([]sensorStage, 0, len(opt.Modalities))
-		for _, m := range normalizeModalities(opt.Modalities) {
-			sensors = append(sensors, newSensor(m, r))
-		}
-		eng.Trace = &multiMeasure{r: r, sensors: sensors}
-		eng.Identify = &fusedIdentify{r: r}
 	}
 	if opt.Adversarial {
 		eng.Adversarial = r

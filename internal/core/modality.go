@@ -10,15 +10,16 @@ import (
 	"decepticon/internal/rng"
 )
 
-// This file wires the pluggable level-1 measurement modalities through
-// the pipeline's stage boundary. Each modality gets its own
-// MeasureStage+IdentifyStage pair (traceSensor, powerSensor,
+// This file is level-1 identification. Each measurement modality gets its
+// own MeasureStage+IdentifyStage pair (traceSensor, powerSensor,
 // counterSensor — all behind pipeline.TraceStage/IdentifyStage);
 // multiMeasure and fusedIdentify compose the requested set into the
-// engine's single Trace/Identify slots: one victim inference feeds every
-// passive sensor, and the per-modality posteriors pool into one
-// identification that degrades gracefully — with logged, metered obs
-// counters — when a sensor is jammed or absent.
+// engine's single Trace/Identify slots for every run: one victim
+// inference feeds every passive sensor, and the per-modality posteriors
+// pool into one identification that degrades gracefully — with logged,
+// metered obs counters — when a sensor is jammed or absent. The paper's
+// attack is the one-sensor case: a nil RunOptions.Modalities measures the
+// kernel trace alone, and fusing one posterior keeps its argmax.
 
 // sensorStage is one modality's stage pair plus the wiring the
 // composites need: availability (is its classifier trained?) and the
@@ -40,27 +41,29 @@ func channelSensorSeed(m fingerprint.Modality, victim string, measureSeed uint64
 
 // traceSensor is the paper's channel as a stage pair: the kernel launch
 // timeline measured through the contention side channel, identified by
-// the CNN.
+// the two-level family→release hierarchy when the attack was prepared
+// with one, else by the flat CNN.
 type traceSensor struct {
 	r    *attackRun
 	post []float64
 }
 
 func (t *traceSensor) modality() fingerprint.Modality { return fingerprint.ModalityTrace }
-func (t *traceSensor) available() bool                { return t.r.a.Classifier != nil }
+func (t *traceSensor) available() bool                { return t.r.a.Hier != nil || t.r.a.Classifier != nil }
 func (t *traceSensor) posterior() []float64           { return t.post }
 
-// MeasureTrace records the kernel timeline. Under multiMeasure the
-// victim's schedule is already simulated; the trace sensor observes it
-// directly.
-func (t *traceSensor) MeasureTrace(s *pipeline.State) error {
-	t.r.trace = t.r.schedule
-	return nil
-}
+// MeasureTrace is a no-op: the kernel timeline is the victim's simulated
+// inference itself, which multiMeasure has already recorded.
+func (t *traceSensor) MeasureTrace(s *pipeline.State) error { return nil }
 
-// Identify computes the CNN posterior over the measured timeline.
+// Identify computes the trace identifier's posterior over the measured
+// timeline.
 func (t *traceSensor) Identify(s *pipeline.State) error {
-	t.post = t.r.a.Classifier.Posterior(t.r.trace)
+	if h := t.r.a.Hier; h != nil {
+		t.post = h.Posterior(t.r.trace)
+	} else {
+		t.post = t.r.a.Classifier.Posterior(t.r.trace)
+	}
 	return nil
 }
 
@@ -79,7 +82,7 @@ func (p *powerSensor) posterior() []float64           { return p.post }
 // MeasureTrace samples the power meter over the victim's inference.
 func (p *powerSensor) MeasureTrace(s *pipeline.State) error {
 	r := p.r
-	r.power = gpusim.PowerTraceOf(r.schedule, gpusim.ChannelOptions{
+	r.power = gpusim.PowerTraceOf(r.trace, gpusim.ChannelOptions{
 		Seed:  channelSensorSeed(fingerprint.ModalityPower, r.victim.Name, r.opt.MeasureSeed),
 		Noise: fingerprint.DefaultChannelNoise(fingerprint.ModalityPower),
 	})
@@ -106,7 +109,7 @@ func (c *counterSensor) posterior() []float64           { return c.post }
 // MeasureTrace reads the profiler's aggregate counters for the inference.
 func (c *counterSensor) MeasureTrace(s *pipeline.State) error {
 	r := c.r
-	r.counters = gpusim.CountersOf(r.schedule, gpusim.ChannelOptions{
+	r.counters = gpusim.CountersOf(r.trace, gpusim.ChannelOptions{
 		Seed:  channelSensorSeed(fingerprint.ModalityCounters, r.victim.Name, r.opt.MeasureSeed),
 		Noise: fingerprint.DefaultChannelNoise(fingerprint.ModalityCounters),
 	})
@@ -131,14 +134,15 @@ func newSensor(m fingerprint.Modality, r *attackRun) sensorStage {
 	}
 }
 
-// multiMeasure is the composite TraceStage of a multi-modal run: it
-// opens the identify phase exactly like the legacy path, simulates the
-// victim's inference once (every sensor is passive — they all tap the
-// same run, so the phase clock advances by the one kernel timeline
-// regardless of how many sensors listen), then lets each surviving
-// sensor record its channel. Jammed and absent sensors degrade the run
-// instead of failing it: logged, counted on core.modality_jammed /
-// core.modality_absent, and excluded from fusion.
+// multiMeasure is the level-1 measurement stage: it opens the identify
+// phase (its spans close in Disambiguate — identification is one phase
+// with three stages), simulates the victim's inference once (every
+// sensor is passive — they all tap the same run, so the phase clock
+// advances by the one kernel timeline regardless of how many sensors
+// listen), then lets each surviving sensor record its channel. Jammed and
+// absent sensors degrade the run instead of failing it: logged, counted
+// on core.modality_jammed / core.modality_absent, and excluded from
+// fusion.
 type multiMeasure struct {
 	r       *attackRun
 	sensors []sensorStage
@@ -150,8 +154,9 @@ func (m *multiMeasure) MeasureTrace(s *pipeline.State) error {
 	r.identifySpan = r.a.Obs.StartSpan("core.phase.identify_seconds")
 	r.identifyStart = s.Clock.Now()
 	r.identifyTrace = r.tk.Begin("identify")
-	r.schedule = r.victim.Trace(gpusim.Options{MeasureSeed: r.opt.MeasureSeed, JitterMagnitude: 0.3})
-	d := int64(r.schedule.Duration())
+	r.trace = r.victim.Trace(gpusim.Options{MeasureSeed: r.opt.MeasureSeed, JitterMagnitude: 0.3})
+	// The simulated kernel timeline is the natural clock for this phase.
+	d := int64(r.trace.Duration())
 	r.tk.Advance(d)
 	s.Clock.Advance(d)
 
@@ -160,6 +165,7 @@ func (m *multiMeasure) MeasureTrace(s *pipeline.State) error {
 		jammed[j] = true
 	}
 	degraded := false
+	report := multiModal(r.opt)
 	for _, sensor := range m.sensors {
 		mod := sensor.modality()
 		switch {
@@ -180,7 +186,9 @@ func (m *multiMeasure) MeasureTrace(s *pipeline.State) error {
 				return err
 			}
 			r.live = append(r.live, sensor)
-			r.rep.Modalities = append(r.rep.Modalities, string(mod))
+			if report {
+				r.rep.Modalities = append(r.rep.Modalities, string(mod))
+			}
 		}
 	}
 	if degraded {
@@ -195,10 +203,15 @@ func (m *multiMeasure) MeasureTrace(s *pipeline.State) error {
 	return nil
 }
 
-// fusedIdentify is the composite IdentifyStage: each live sensor's
+// fusedIdentify is the level-1 identification stage: each live sensor's
 // identifier runs, the posteriors pool by weighted log-linear fusion
 // (Attack.FusionWeights, equal when unset), and the argmax becomes the
-// identified candidate — the same contract the CNN-only Identify honors.
+// identified candidate. A lone sensor's fused argmax is its own argmax:
+// pooling one posterior at a positive weight is monotone, and ArgMax
+// breaks ties toward the lowest index like PredictTopK. A trace-only run
+// therefore identifies exactly as the trace identifier's top prediction.
+// A candidate the zoo does not know is a real error (the identifiers and
+// the candidate pool are out of sync), not a per-victim degradation.
 type fusedIdentify struct {
 	r *attackRun
 }
@@ -224,7 +237,7 @@ func (f *fusedIdentify) Identify(s *pipeline.State) error {
 	if r.a.Zoo.PretrainedByName(r.identified) == nil {
 		r.identifyTrace.End()
 		r.identifySpan.End()
-		return fmt.Errorf("core: fused identifier produced unknown candidate %q", r.identified)
+		return fmt.Errorf("core: identifier produced unknown candidate %q", r.identified)
 	}
 	return nil
 }
@@ -235,6 +248,8 @@ func (a *Attack) classes() []string {
 	switch {
 	case a.Classifier != nil:
 		return a.Classifier.Classes
+	case a.Hier != nil:
+		return a.Hier.Classes
 	case a.PowerClf != nil:
 		return a.PowerClf.Classes
 	case a.CounterClf != nil:
@@ -244,7 +259,7 @@ func (a *Attack) classes() []string {
 }
 
 // normalizeModalities resolves a run's requested modality set: nil means
-// the paper's kernel-trace channel alone (full backward compatibility).
+// the paper's kernel-trace channel alone.
 func normalizeModalities(ms []fingerprint.Modality) []fingerprint.Modality {
 	if len(ms) == 0 {
 		return []fingerprint.Modality{fingerprint.ModalityTrace}
@@ -252,10 +267,10 @@ func normalizeModalities(ms []fingerprint.Modality) []fingerprint.Modality {
 	return ms
 }
 
-// multiModal reports whether the run needs the composite sensor path: any
-// modality beyond the plain kernel trace, or any jamming to honor. The
-// single-trace un-jammed request keeps the legacy stage implementations
-// byte-for-byte.
+// multiModal reports whether the run asked for more than the paper's
+// kernel trace: any other modality, or any jamming to honor. Only such
+// runs list their contributing sensors on the report; the default
+// trace-only run leaves Report.Modalities nil.
 func multiModal(opt RunOptions) bool {
 	mods := normalizeModalities(opt.Modalities)
 	return len(mods) > 1 || mods[0] != fingerprint.ModalityTrace || len(opt.Jammed) > 0

@@ -21,11 +21,11 @@ import (
 )
 
 // attackRun is one victim's pass through the staged pipeline. It
-// implements every pipeline stage interface over the same report, so the
-// engine composes a full attack from a single value; the fields below
-// the divider carry state across stage boundaries (the measured trace
-// feeds Identify, the identify spans close in Disambiguate, the clone
-// feeds Evaluate and Adversarial).
+// implements the stages from Disambiguate on over the same report; the
+// measure and identify stages are the sensor composites of modality.go
+// wired to it. The fields below the divider carry state across stage
+// boundaries (the measured channels feed identification, the identify
+// spans close in Disambiguate, the clone feeds Evaluate and Adversarial).
 type attackRun struct {
 	a      *Attack
 	opt    RunOptions
@@ -44,12 +44,11 @@ type attackRun struct {
 	// distillation records all pay into core.victim_queries through it.
 	countedPredict func(tokens []int) int
 
-	// Cross-stage state.
-	trace *gpusim.Trace
-	// Multi-modal state: the victim's one simulated inference (every
-	// passive sensor taps it), the derived channels, and the sensors that
-	// survived jamming/absence and feed the fusion identifier.
-	schedule      *gpusim.Trace
+	// Cross-stage state: the victim's one simulated inference — the kernel
+	// trace every passive sensor taps — the channels derived from it, and
+	// the sensors that survived jamming/absence and feed fused
+	// identification.
+	trace         *gpusim.Trace
 	power         *gpusim.PowerTrace
 	counters      *gpusim.CounterSet
 	live          []sensorStage
@@ -59,46 +58,6 @@ type attackRun struct {
 	identifyTrace *obs.TraceSpan
 	identifyStart int64
 	clone         *transformer.Model
-}
-
-// MeasureTrace is the level-1 measurement: record the victim's kernel
-// trace through the contention side channel. It opens the identify-phase
-// spans (closed in Disambiguate — identification is one phase with three
-// stages) and advances both the trace lane and the pipeline clock by the
-// simulated kernel timeline.
-func (r *attackRun) MeasureTrace(s *pipeline.State) error {
-	r.prog.SetStage("measure")
-	r.identifySpan = r.a.Obs.StartSpan("core.phase.identify_seconds")
-	r.identifyStart = s.Clock.Now()
-	r.identifyTrace = r.tk.Begin("identify")
-	r.trace = r.victim.Trace(gpusim.Options{MeasureSeed: r.opt.MeasureSeed, JitterMagnitude: 0.3})
-	// The simulated kernel timeline is the natural clock for this phase.
-	d := int64(r.trace.Duration())
-	r.tk.Advance(d)
-	s.Clock.Advance(d)
-	return nil
-}
-
-// Identify maps the measured trace to a pre-trained candidate with the
-// CNN — the flat classifier by default, the two-level family→release
-// hierarchy when the attack was prepared with one. A candidate the zoo
-// does not know is a real error (the classifier and the candidate pool
-// are out of sync), not a per-victim degradation.
-func (r *attackRun) Identify(s *pipeline.State) error {
-	r.prog.SetStage("identify")
-	var top []string
-	if r.a.Hier != nil {
-		top = r.a.Hier.PredictTopK(r.trace, 3)
-	} else {
-		top = r.a.Classifier.PredictTopK(r.trace, 3)
-	}
-	r.identified = top[0]
-	if r.a.Zoo.PretrainedByName(r.identified) == nil {
-		r.identifyTrace.End()
-		r.identifySpan.End()
-		return fmt.Errorf("core: classifier produced unknown candidate %q", r.identified)
-	}
-	return nil
 }
 
 // Disambiguate separates profile-ambiguous candidates with query-output

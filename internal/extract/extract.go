@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"math/bits"
 
 	"decepticon/internal/ieee754"
 	"decepticon/internal/obs"
@@ -64,11 +65,11 @@ type Config struct {
 	// RetryPolicy). Zero-valued fields take DefaultRetryPolicy values, so
 	// a zero Retry is the sensible default, not "never retry".
 	Retry RetryPolicy
-	// Schedule enables the information-ordered bit-read scheduler
-	// (scheduler.go): per-tensor reads ordered by expected information,
-	// vote width adapted to the observed channel instead of the global
-	// ReadRepeats, and posterior early exit. The zero value keeps the
-	// index-ordered path byte-identical.
+	// Schedule tunes the bit-read scheduler (scheduler.go). Enabled, each
+	// tensor's reads follow expected information, the vote width adapts to
+	// the observed channel instead of the global ReadRepeats, and a
+	// converged posterior exits early. The zero value is Algorithm 1's own
+	// schedule: index order at a fixed EffectiveReadRepeats vote.
 	Schedule SchedulerConfig
 }
 
@@ -244,48 +245,18 @@ func (c Config) ExtractWeight(base float32, read func(bit int) int) (float32, []
 }
 
 // ExtractWeightErr is the error-aware Algorithm 1 for a single weight.
-// read must already implement the caller's vote/retry policy (Run wires
-// the full retry → escalate → vote stack). Besides the clone value and
-// the checked bits it returns the fraction-bit indices that degraded to
-// the baseline because their cell was unreadable. A non-nil error means
-// the weight could not be handled at all (tensor-level failure or a
-// non-fault error); bit-level failures never surface as errors.
-//
-// Non-finite baselines (NaN/±Inf corruption in the identified model) are
-// copied and reported unread: gap() on a non-finite value defeats every
-// place-value comparison, and reading bits against it would burn hammer
-// rounds cloning garbage.
+// read must already implement the caller's vote/retry policy. Besides
+// the clone value and the checked bits it returns the fraction-bit
+// indices that degraded to the baseline because their cell was
+// unreadable. A non-nil error means the weight could not be handled at
+// all (tensor-level failure or a non-fault error); bit-level failures
+// never surface as errors.
 func (c Config) ExtractWeightErr(base float32, read BitReader) (clone float32, checked, degraded []int, err error) {
-	if math.IsNaN(float64(base)) || math.IsInf(float64(base), 0) {
-		return base, nil, nil, nil
-	}
-	absBase := base
-	if absBase < 0 {
-		absBase = -absBase
-	}
-	// Step 1: near-zero pre-trained weights are copied unread.
-	if float64(absBase) < c.SkipThreshold {
-		return base, nil, nil, nil
-	}
-	dist := c.gap(base)
-
-	// Step 2: read the most significant fraction bits whose place value is
-	// within the estimated gap — exactly the bits of Fig 13's example
-	// (2^-10 and 2^-11 for a gap of ~0.002 at exponent -6). Bits coarser
-	// than the gap cannot have flipped during fine-tuning; bits finer than
-	// the checked pair "make very subtle differences (less than 0.001)".
-	// (Algorithm 1 as printed brackets the same bits via the
-	// int_base+fr_base ∈ [min,max] test, but that test only works for
-	// weights in the lower half of their binade; the place-value bracket
-	// is the example's intent and covers every weight.)
+	sel, _ := c.selectBits(base)
 	clone = base
-	for k := 1; k <= ieee754.FractionBits && len(checked)+len(degraded) < c.MaxBitsPerWeight; k++ {
-		if ieee754.FractionBitValue(absBase, k) > dist {
-			continue
-		}
-		// Raw bit index of fraction bit k (MSB-first).
-		raw := ieee754.FractionBits - k
-		bit, rerr := read(raw)
+	for ; sel != 0; sel &= sel - 1 {
+		k := bits.TrailingZeros32(sel)
+		bit, rerr := read(ieee754.FractionBits - k)
 		if rerr != nil {
 			if isBitDegrade(rerr) {
 				// The cell is gone; keep the baseline bit and move on.
@@ -298,6 +269,50 @@ func (c Config) ExtractWeightErr(base float32, read BitReader) (clone float32, c
 		checked = append(checked, k)
 	}
 	return clone, checked, degraded, nil
+}
+
+// selectBits is Algorithm 1's bit selection for one weight, shared by
+// ExtractWeightErr and the tensor planner (planTensor, planTensorUnits).
+// It returns the fraction bits to read as a mask — bit k set means
+// fraction bit k (MSB-first) is read — plus the weight's expected
+// fine-tuning gap.
+//
+// Non-finite baselines (NaN/±Inf corruption in the identified model) are
+// copied and reported unread: gap() on a non-finite value defeats every
+// place-value comparison, and reading bits against it would burn hammer
+// rounds cloning garbage.
+func (c Config) selectBits(base float32) (sel uint32, gap float64) {
+	if !isFinite(base) {
+		return 0, 0
+	}
+	absBase := base
+	if absBase < 0 {
+		absBase = -absBase
+	}
+	// Step 1: near-zero pre-trained weights are copied unread.
+	if float64(absBase) < c.SkipThreshold {
+		return 0, 0
+	}
+	gap = c.gap(base)
+
+	// Step 2: read the most significant fraction bits whose place value is
+	// within the estimated gap — exactly the bits of Fig 13's example
+	// (2^-10 and 2^-11 for a gap of ~0.002 at exponent -6). Bits coarser
+	// than the gap cannot have flipped during fine-tuning; bits finer than
+	// the checked pair "make very subtle differences (less than 0.001)".
+	// (Algorithm 1 as printed brackets the same bits via the
+	// int_base+fr_base ∈ [min,max] test, but that test only works for
+	// weights in the lower half of their binade; the place-value bracket
+	// is the example's intent and covers every weight.)
+	n := 0
+	for k := 1; k <= ieee754.FractionBits && n < c.MaxBitsPerWeight; k++ {
+		if ieee754.FractionBitValue(absBase, k) > gap {
+			continue
+		}
+		sel |= 1 << k
+		n++
+	}
+	return sel, gap
 }
 
 // Stats accumulates the efficiency and correctness accounting of Fig 16
@@ -364,12 +379,12 @@ type Stats struct {
 	BackoffRounds int64 // simulated rounds spent waiting between retries
 	Escalations   int64 // last-ditch read bursts on suspected stuck bits
 
-	// Graceful degradation: positions that fell back to the pre-trained
-	// baseline because their cells were unreadable.
-	BitsDegraded     int64    // bit positions degraded inside extracted weights
-	WeightsDegraded  int      // weights with ≥1 degraded bit, or inside a degraded tensor tail
+	// Graceful degradation: positions that kept the pre-trained baseline
+	// (or, in the head, zero) because the channel could not read them.
+	BitsDegraded     int64    // unreadable bit positions (stuck cells, spent retries)
+	WeightsDegraded  int      // weights with ≥1 planned bit left unread by a fault
 	WeightsNonFinite int      // non-finite baselines copied-and-flagged, never read
-	TensorsDegraded  int      // tensors whose tail fell back to the baseline
+	TensorsDegraded  int      // tensors whose reads a tensor-level fault cut short
 	DegradedTensors  []string // their names, in extraction order
 
 	// Scheduler accounting — all zero unless Config.Schedule is enabled.
@@ -549,8 +564,9 @@ type Extractor struct {
 	// loops, and — through Oracle.Bind — before every metered read.
 	ctx context.Context
 
-	// sched is the information-ordered scheduler, created per run when
-	// Cfg.Schedule.Enabled; its estimator state rides in checkpoints.
+	// sched is the run's bit-read scheduler (Algorithm 1's fixed schedule
+	// unless Cfg.Schedule.Enabled); its estimator state rides in
+	// checkpoints.
 	sched *scheduler
 }
 
@@ -611,8 +627,8 @@ func (e *Extractor) reader(name string, idx int, rp RetryPolicy, st *Stats, tr *
 }
 
 // votedRead performs one logical bit read at an explicit vote width
-// through the full retry → escalate stack; reader uses the configured
-// width, the scheduler passes its adaptive one. Besides the voted bit it
+// through the full retry → escalate stack; reader (the head) uses the
+// configured width, the selective loop whatever its scheduler chose. Besides the voted bit it
 // returns the vote tally — the scheduler's only evidence of silent flips.
 // votes == 0 marks a result decided by escalation (no tally to learn
 // from).
@@ -724,10 +740,7 @@ func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []
 	}
 	cfg := e.Cfg
 	stats := &Stats{LayersTotal: e.Pre.Layers}
-	e.sched = nil
-	if cfg.Schedule.Enabled {
-		e.sched = newScheduler(cfg.Schedule, cfg.EffectiveReadRepeats())
-	}
+	e.sched = newScheduler(cfg.Schedule, cfg.EffectiveReadRepeats())
 
 	// The clone starts as the pre-trained backbone with a fresh head of
 	// the observed width.
@@ -754,10 +767,10 @@ func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []
 
 	// Planned simulated units: the logical bit set the schedule commits
 	// to — 32 bits per head weight, Algorithm 1's candidate set for the
-	// selective tensors (planTensorUnits; identical on the scheduled and
-	// index-ordered paths). A pure function of (Config, Pre, numLabels),
-	// declared before any metered work so fractions are monotone from
-	// the first tensor and recomputed identically on resume.
+	// selective tensors (planTensorUnits; the same for either read
+	// order). A pure function of (Config, Pre, numLabels), declared
+	// before any metered work so fractions are monotone from the first
+	// tensor and recomputed identically on resume.
 	preParams := indexParams(e.Pre)
 	unitsOf := make(map[string]int64)
 	var plannedUnits int64
@@ -803,11 +816,9 @@ func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []
 		layersDone = ck.LayersDone
 		preloopDone = ck.PreloopDone
 		e.Oracle.RestoreState(ck.Channel)
-		if e.sched != nil {
-			// The adaptive vote width is a pure function of this state;
-			// restoring it keeps the resumed read sequence byte-identical.
-			e.sched.state = ck.Sched
-		}
+		// The adaptive vote width is a pure function of this state;
+		// restoring it keeps the resumed read sequence byte-identical.
+		e.sched.state = ck.Sched
 		for _, name := range doneOrder {
 			unitsDone += unitsOf[name]
 		}
@@ -826,7 +837,7 @@ func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []
 			LayersDone:  layersDone,
 			Stats:       *stats,
 			Channel:     e.Oracle.State(),
-			Sched:       e.schedState(),
+			Sched:       e.sched.state,
 			NumLabels:   numLabels,
 			LayersTotal: e.Pre.Layers,
 		}
@@ -853,10 +864,10 @@ func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []
 		}
 		return nil
 	}
-	// interrupted is the full tensor-boundary stop check: budget first
-	// (unchanged legacy behavior), then the context. Both doors sit right
-	// after the checkpoint write, so whichever fires leaves a resumable
-	// snapshot with the channel parked exactly at the boundary.
+	// interrupted is the full tensor-boundary stop check: budget first,
+	// then the context. Both doors sit right after the checkpoint write,
+	// so whichever fires leaves a resumable snapshot with the channel
+	// parked exactly at the boundary.
 	interrupted := func() error {
 		if err := overBudget(); err != nil {
 			return err
@@ -998,14 +1009,7 @@ func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []
 			if p.IsHead || p.Layer != layer || done[p.Name] {
 				continue
 			}
-			basis := preParams[p.Name]
-			var terr error
-			if e.sched != nil {
-				terr = e.extractTensorScheduled(p.Name, basis, p.Value.Data, stats)
-			} else {
-				terr = e.extractTensor(p.Name, basis, p.Value.Data, stats)
-			}
-			if terr != nil {
+			if terr := e.extractSelectiveTensor(p.Name, preParams[p.Name], p.Value.Data, stats); terr != nil {
 				layerSpan.End()
 				return nil, nil, e.wrapErr(terr)
 			}
@@ -1057,9 +1061,9 @@ func (e *Extractor) wrapErr(err error) error {
 	return fmt.Errorf("%w: %v", ErrInterrupted, err)
 }
 
-// ctxErr is the cheap per-weight cancellation probe used inside tensor
-// loops: skip-heavy stretches read nothing through the oracle, so
-// without it a cancellation could wait out an entire tensor of copies.
+// ctxErr is the cheap cancellation probe used inside tensor loops (per
+// head weight, per planned selective bit), so a cancellation lands
+// within one weight's reads even between metered oracle reads.
 func (e *Extractor) ctxErr() error {
 	if e.ctx == nil {
 		return nil
@@ -1171,129 +1175,20 @@ func (e *Extractor) noteDegrade(name string, from, size int) {
 	e.log.Warn("tensor degraded", "tensor", name, "from", from, "weights", size-from)
 }
 
-// extractTensor applies Algorithm 1 to every weight of one tensor,
-// writing clones into dst and accounting into stats. Channel faults
-// degrade gracefully: unreadable bits keep the baseline bit, and a spent
-// retry budget (or a permanently dead region) makes the rest of the
-// tensor fall back to the pre-trained baseline wholesale.
-func (e *Extractor) extractTensor(name string, base, dst []float32, stats *Stats) error {
-	defer e.tensorSpan(name, stats)()
-	cfg := e.Cfg
-	rp := cfg.Retry.withDefaults()
-	tr := &tensorRetry{budget: rp.TensorRetryBudget}
-	faultsBefore := e.Oracle.FaultedReads
-	defer func() { stats.ReadFaults += e.Oracle.FaultedReads - faultsBefore }()
-	degradeFrom := -1
-	for i := range base {
-		if cerr := e.ctxErr(); cerr != nil {
-			return fmt.Errorf("extract: tensor %q: %w", name, cerr)
-		}
-		b := base[i]
-		before := e.Oracle.BitReads
-		clone, checked, degraded, err := cfg.ExtractWeightErr(b, e.reader(name, i, rp, stats, tr))
-		// Logical reads: distinct bit positions Algorithm 1 selected.
-		// Physical reads: the oracle meter's delta (×ReadRepeats under
-		// majority voting) — captured even when the weight aborts, since
-		// the channel already charged for the partial attempts.
-		stats.PhysicalBitReads += e.Oracle.BitReads - before
-		if err != nil {
-			if isTensorDegrade(err) {
-				degradeFrom = i
-				break
-			}
-			return fmt.Errorf("extract: tensor %q: %w", name, err)
-		}
-		dst[i] = clone
-		stats.WeightsTotal++
-		stats.BitsTotal += 32
-		stats.BitsChecked += int64(len(checked))
-		if len(degraded) > 0 {
-			stats.BitsDegraded += int64(len(degraded))
-			stats.WeightsDegraded++
-		}
-		if !isFinite(b) {
-			// Corrupt baseline, copied and flagged unread (see
-			// ExtractWeightErr); gap-based ground-truth accounting is
-			// meaningless against garbage.
-			stats.WeightsNonFinite++
-			continue
-		}
-
-		// Ground-truth accounting (the simulator can peek for metrics;
-		// the attacker cannot).
-		victim, err := e.Oracle.PeekWord(name, i)
-		if err != nil {
-			return fmt.Errorf("extract: tensor %q: %w", name, err)
-		}
-		gap := math.Abs(float64(victim - b))
-		if len(checked) == 0 {
-			stats.WeightsSkipped++
-			if gap < cfg.SkipThreshold {
-				stats.WeightsSkippedCorrect++
-			}
-		} else if math.Abs(float64(victim-clone)) <= cfg.gap(b) {
-			stats.WeightsWithinGap++
-		}
-		if clone == victim {
-			stats.WeightsExact++
-		}
-		if (victim >= 0) != (b >= 0) && victim != 0 {
-			stats.SignFlips++
-		}
-		// Bits excluded correctly: unread bits that either match the
-		// victim or sit below the negligible-impact place value (§6.1.1).
-		readSet := map[int]bool{}
-		for _, k := range checked {
-			readSet[ieee754.FractionBits-k] = true
-		}
-		for bit := 0; bit < 32; bit++ {
-			if readSet[bit] {
-				continue
-			}
-			if ieee754.Bit(victim, bit) == ieee754.Bit(b, bit) {
-				stats.BitsExcludedCorrect++
-				continue
-			}
-			if bit < ieee754.FractionBits {
-				k := ieee754.FractionBits - bit
-				if ieee754.FractionBitValue(b, k) < cfg.SubtleValue {
-					stats.BitsExcludedCorrect++
-				}
-			}
-		}
-	}
-	if degradeFrom >= 0 {
-		for i := degradeFrom; i < len(base); i++ {
-			dst[i] = base[i]
-			stats.WeightsTotal++
-			stats.BitsTotal += 32
-			stats.WeightsDegraded++
-		}
-		stats.TensorsDegraded++
-		stats.DegradedTensors = append(stats.DegradedTensors, name)
-		e.noteDegrade(name, degradeFrom, len(base))
-	}
-	return nil
-}
-
-// schedState snapshots the scheduler's estimator for a checkpoint (zero
-// when the scheduler is off).
-func (e *Extractor) schedState() SchedulerState {
-	if e.sched == nil {
-		return SchedulerState{}
-	}
-	return e.sched.state
-}
-
-// extractTensorScheduled is the information-ordered counterpart of
-// extractTensor: identical bit selection, but reads follow planTensor's
-// descending-information order, each read's vote width comes from the
-// adaptive estimator (clamped to EffectiveReadRepeats), and a converged
-// bit posterior elides the remaining — strictly lower-value — planned
-// bits. Fault handling mirrors the index-ordered path: an unreadable bit
-// keeps the baseline bit, a spent tensor budget or dead region degrades
-// every weight that still had planned reads outstanding.
-func (e *Extractor) extractTensorScheduled(name string, base, dst []float32, stats *Stats) error {
+// extractSelectiveTensor applies Algorithm 1 to one selective tensor,
+// writing the clone into dst and the accounting into stats. The loop
+// reads planTensor's plan — exactly Algorithm 1's candidate bits — under
+// the run's scheduler: disabled, that is Algorithm 1 itself (index
+// order, every bit voted at EffectiveReadRepeats); enabled, reads follow
+// descending information, each vote width comes from the adaptive
+// estimator (clamped to EffectiveReadRepeats), and a converged bit
+// posterior elides the remaining — strictly lower-value — planned bits.
+//
+// Channel faults degrade by one rule in either order: an unreadable bit
+// keeps the baseline bit; a spent tensor budget or dead region ends the
+// tensor's reads, keeping every bit already read. A weight counts as
+// degraded when a fault left any of its planned bits unread.
+func (e *Extractor) extractSelectiveTensor(name string, base, dst []float32, stats *Stats) error {
 	defer e.tensorSpan(name, stats)()
 	cfg := e.Cfg
 	rp := cfg.Retry.withDefaults()
@@ -1301,52 +1196,44 @@ func (e *Extractor) extractTensorScheduled(name string, base, dst []float32, sta
 	faultsBefore := e.Oracle.FaultedReads
 	defer func() { stats.ReadFaults += e.Oracle.FaultedReads - faultsBefore }()
 
-	// Every weight starts as its baseline copy; the population accounting
-	// matches the index-ordered path.
-	for i, b := range base {
-		dst[i] = b
-		stats.WeightsTotal++
-		stats.BitsTotal += 32
-		if !isFinite(b) {
-			stats.WeightsNonFinite++
-		}
-	}
+	// Every weight starts as its baseline copy.
+	copy(dst, base)
+	stats.WeightsTotal += len(base)
+	stats.BitsTotal += 32 * int64(len(base))
 
-	plan := planTensor(cfg, base)
-	planned := make(map[int]int, len(plan)) // weight → planned bit count
+	// Per-weight raw-bit masks: the bits planned, the bits read, and the
+	// planned bits a fault left unread.
+	plan := planTensor(cfg, base, cfg.Schedule.Enabled)
+	masks := make([]weightBits, len(base))
 	for _, t := range plan {
-		planned[t.idx]++
+		masks[t.idx].planned |= t.rawMask()
 	}
-	checked := make(map[int][]int)     // weight → fraction bits recovered
-	degradedBits := make(map[int]bool) // weights with ≥1 unreadable bit
 	sc := e.sched
 
 	reads, changed := 0, 0 // early-exit evidence for this tensor
-	degradeFrom := -1
 	for ti, task := range plan {
 		if cerr := e.ctxErr(); cerr != nil {
 			return fmt.Errorf("extract: tensor %q: %w", name, cerr)
 		}
 		width := sc.chooseWidth(task.value, task.gap, stats)
-		raw := ieee754.FractionBits - task.k
 		before := e.Oracle.BitReads
-		bit, ones, votes, err := e.votedRead(name, task.idx, raw, width, rp, stats, tr)
+		bit, ones, votes, err := e.votedRead(name, task.idx, ieee754.FractionBits-task.k, width, rp, stats, tr)
 		stats.PhysicalBitReads += e.Oracle.BitReads - before
 		if err != nil {
 			if isBitDegrade(err) {
 				stats.BitsDegraded++
-				degradedBits[task.idx] = true
+				masks[task.idx].lost |= task.rawMask()
 				continue
 			}
 			if isTensorDegrade(err) {
-				degradeFrom = ti
+				e.degradeTail(name, plan[ti:], masks, stats)
 				break
 			}
 			return fmt.Errorf("extract: tensor %q: %w", name, err)
 		}
 		sc.update(ones, votes)
 		dst[task.idx] = ieee754.SetFractionBit(dst[task.idx], task.k, bit)
-		checked[task.idx] = append(checked[task.idx], task.k)
+		masks[task.idx].read |= task.rawMask()
 		stats.BitsChecked++
 		reads++
 		if bit != ieee754.FractionBit(base[task.idx], task.k) {
@@ -1363,42 +1250,30 @@ func (e *Extractor) extractTensorScheduled(name string, base, dst []float32, sta
 		}
 	}
 
-	// A degraded tensor keeps every successfully read bit; weights whose
-	// plan was cut short fall back to the baseline for the unread bits
-	// and count as degraded, like the index-ordered tail fallback.
-	unread := make(map[int]bool)
-	if degradeFrom >= 0 {
-		for _, t := range plan[degradeFrom:] {
-			unread[t.idx] = true
-		}
-		stats.TensorsDegraded++
-		stats.DegradedTensors = append(stats.DegradedTensors, name)
-		e.noteDegrade(name, len(base)-len(unread), len(base))
-	}
-	for i := range base {
-		if degradedBits[i] || unread[i] {
+	// Ground-truth accounting (the simulator can peek for metrics; the
+	// attacker cannot), decoupled from the read loop because the plan need
+	// not visit weights in index order.
+	for i, b := range base {
+		m := masks[i]
+		if m.lost != 0 {
 			stats.WeightsDegraded++
 		}
-	}
-
-	// Ground-truth accounting (simulation-side peek, as in extractTensor),
-	// decoupled from the read loop because the schedule visits weights in
-	// information order, not index order.
-	for i, b := range base {
 		if !isFinite(b) {
+			// Corrupt baseline, copied and flagged unread (see selectBits);
+			// gap-based ground-truth accounting is meaningless against
+			// garbage.
+			stats.WeightsNonFinite++
 			continue
 		}
 		victim, err := e.Oracle.PeekWord(name, i)
 		if err != nil {
 			return fmt.Errorf("extract: tensor %q: %w", name, err)
 		}
-		gap := math.Abs(float64(victim - b))
-		cs := checked[i]
-		if planned[i] == 0 {
+		if m.planned == 0 {
 			// Algorithm 1 selected no bits for this weight (sub-threshold,
 			// or the gap sits below the finest candidate place value).
 			stats.WeightsSkipped++
-			if gap < cfg.SkipThreshold {
+			if math.Abs(float64(victim-b)) < cfg.SkipThreshold {
 				stats.WeightsSkippedCorrect++
 			}
 		} else if math.Abs(float64(victim-dst[i])) <= cfg.gap(b) {
@@ -1410,12 +1285,10 @@ func (e *Extractor) extractTensorScheduled(name string, base, dst []float32, sta
 		if (victim >= 0) != (b >= 0) && victim != 0 {
 			stats.SignFlips++
 		}
-		readSet := map[int]bool{}
-		for _, k := range cs {
-			readSet[ieee754.FractionBits-k] = true
-		}
+		// Bits excluded correctly: unread bits that either match the
+		// victim or sit below the negligible-impact place value (§6.1.1).
 		for bit := 0; bit < 32; bit++ {
-			if readSet[bit] {
+			if m.read&(1<<bit) != 0 {
 				continue
 			}
 			if ieee754.Bit(victim, bit) == ieee754.Bit(b, bit) {
@@ -1431,4 +1304,27 @@ func (e *Extractor) extractTensorScheduled(name string, base, dst []float32, sta
 		}
 	}
 	return nil
+}
+
+// weightBits tracks one weight's planned fraction bits through a tensor's
+// read loop, as masks over raw bit positions (bit 0 = LSB).
+type weightBits struct {
+	planned, read, lost uint32
+}
+
+// rawMask is the task's raw bit position as a weightBits mask.
+func (t bitTask) rawMask() uint32 { return 1 << (ieee754.FractionBits - t.k) }
+
+// degradeTail records a tensor-level fault that ended a tensor's reads:
+// every still-planned bit stays at the baseline and its weight counts as
+// degraded, while the bits already read are kept.
+func (e *Extractor) degradeTail(name string, rest []bitTask, masks []weightBits, stats *Stats) {
+	unread := make(map[int]bool)
+	for _, t := range rest {
+		unread[t.idx] = true
+		masks[t.idx].lost |= t.rawMask()
+	}
+	stats.TensorsDegraded++
+	stats.DegradedTensors = append(stats.DegradedTensors, name)
+	e.noteDegrade(name, len(masks)-len(unread), len(masks))
 }

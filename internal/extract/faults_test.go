@@ -193,6 +193,92 @@ func TestPermanentOutageDegradesTensor(t *testing.T) {
 	}
 }
 
+// TestOutageMidTensorKeepsReadBits pins the single degrade rule under
+// Algorithm 1's index order: a region outage starting partway through a
+// tensor's reads ends them there, but every bit read before it stays in
+// the clone — including the first bit of a weight whose second bit the
+// outage cut off — and only weights with an unread planned bit count as
+// degraded.
+func TestOutageMidTensorKeepsReadBits(t *testing.T) {
+	pre, victim := smallPair()
+	cfg := DefaultConfig()
+	// The first selective tensor extracted follows the fully read head:
+	// on a clean channel at one read per bit, its reads start at channel
+	// clock 32 × head weights.
+	var target string
+	var c0 int64
+	for _, p := range victim.Params() {
+		switch {
+		case p.IsHead:
+			c0 += 32 * int64(len(p.Value.Data))
+		case target == "" && p.Layer == victim.Layers-1:
+			target = p.Name
+		}
+	}
+	var base, truth []float32
+	for _, p := range pre.Params() {
+		if p.Name == target {
+			base = p.Value.Data
+		}
+	}
+	for _, p := range victim.Params() {
+		if p.Name == target {
+			truth = p.Value.Data
+		}
+	}
+	// Cut at the second planned bit of a weight whose first planned bit
+	// differs from the baseline, a third of the way in or later.
+	plan := planTensor(cfg, base, false)
+	cut := -1
+	for ti := len(plan) / 3; ti < len(plan) && cut < 0; ti++ {
+		prev := plan[ti-1]
+		if plan[ti].idx == prev.idx &&
+			ieee754.FractionBit(truth[prev.idx], prev.k) != ieee754.FractionBit(base[prev.idx], prev.k) {
+			cut = ti
+		}
+	}
+	if cut < 0 {
+		t.Fatalf("%s: no partly readable weight to cut at", target)
+	}
+
+	oracle := sidechannel.NewOracle(victim)
+	oracle.SetFaultPlan(&sidechannel.FaultPlan{
+		Outages: []sidechannel.Outage{{Param: target, From: c0 + int64(cut) + 1}}, // permanent
+	})
+	ex := &Extractor{Pre: pre, Oracle: oracle, Cfg: cfg}
+	clone, st, err := ex.Run(victim.Config.Labels, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TensorsDegraded != 1 || len(st.DegradedTensors) != 1 || st.DegradedTensors[0] != target {
+		t.Fatalf("degraded tensors %v, want exactly %q", st.DegradedTensors, target)
+	}
+
+	want := append([]float32(nil), base...)
+	unread := map[int]bool{}
+	for ti, task := range plan {
+		if ti < cut {
+			want[task.idx] = ieee754.SetFractionBit(want[task.idx], task.k, ieee754.FractionBit(truth[task.idx], task.k))
+		} else {
+			unread[task.idx] = true
+		}
+	}
+	for _, p := range clone.Params() {
+		if p.Name != target {
+			continue
+		}
+		for i := range want {
+			if p.Value.Data[i] != want[i] {
+				t.Fatalf("%s[%d] = %v, want %v (bits read before the outage kept, the rest baseline)",
+					target, i, p.Value.Data[i], want[i])
+			}
+		}
+	}
+	if st.WeightsDegraded != len(unread) {
+		t.Fatalf("weights degraded %d, want the %d with an unread planned bit", st.WeightsDegraded, len(unread))
+	}
+}
+
 // TestRetriesRideOutTransients: under a purely transient fault plan the
 // retry/backoff stack recovers every bit — the clone is byte-identical to
 // a fault-free extraction, at the price of retries and backoff rounds.

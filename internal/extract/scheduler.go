@@ -1,8 +1,11 @@
-// Information-ordered bit-read scheduling (DESIGN.md §12). The
-// index-ordered extractTensor spends identical effort on every candidate
-// bit; at 2048 hammer rounds per physical read that uniformity is the
-// dominant cost. The scheduler keeps Algorithm 1's bit *selection*
-// unchanged but re-plans each tensor around where the hammer rounds buy
+// Bit-read scheduling (DESIGN.md §12). Every selective tensor is
+// extracted by one loop over a read plan that holds exactly Algorithm 1's
+// candidate bits (Config.selectBits); the scheduler decides only the
+// plan's order, each read's vote width, and when to stop. Disabled (the
+// zero SchedulerConfig), it is Algorithm 1 as printed: index order, every
+// bit voted at EffectiveReadRepeats, no early exit. At 2048 hammer rounds
+// per physical read that uniformity is the dominant cost, so the enabled
+// scheduler re-plans each tensor around where the hammer rounds buy
 // information:
 //
 //   - ordering: candidate fraction bits are read in descending order of
@@ -30,16 +33,19 @@ package extract
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"decepticon/internal/ieee754"
 )
 
-// SchedulerConfig tunes the information-ordered scheduler. The zero value
-// (Enabled == false) keeps the index-ordered PR-5 extraction path
-// byte-identical; enabling with zero knobs applies the defaults below.
+// SchedulerConfig tunes the bit-read scheduler. The zero value (Enabled
+// == false) is Algorithm 1's own schedule: index order, a fixed vote
+// width of EffectiveReadRepeats, no probes and no early exit. Enabling
+// with zero knobs applies the defaults below.
 type SchedulerConfig struct {
-	// Enabled switches tensor extraction to the information-ordered path.
+	// Enabled switches on information order, adaptive voting, and
+	// posterior early exit.
 	Enabled bool
 	// ExitChangeRate is the posterior-convergence threshold: a tensor
 	// early-exits once the fraction of read bits that differ from the
@@ -113,7 +119,9 @@ type SchedulerState struct {
 }
 
 // scheduler is the per-run scheduling state: configuration, the
-// configured vote-width clamp, and the disagreement estimator.
+// configured vote-width clamp, and the disagreement estimator. A disabled
+// scheduler votes every bit at the clamp and never learns or exits, so
+// its state stays zero.
 type scheduler struct {
 	cfg   SchedulerConfig
 	maxW  int // configured EffectiveReadRepeats — the hard width clamp
@@ -163,16 +171,17 @@ func binomial(n, k int) int64 {
 	return c
 }
 
-// chooseWidth picks the vote width for one scheduled bit read: the
-// narrowest odd width whose residual majority error under the estimated
-// flip rate fits the bit's error budget, clamped to the configured
+// chooseWidth picks the vote width for one planned bit read: the
+// configured EffectiveReadRepeats when the scheduler is disabled, else
+// the narrowest odd width whose residual majority error under the
+// estimated flip rate fits the bit's error budget, clamped to
 // EffectiveReadRepeats — never wider than the baseline would vote. Every
 // ProbeInterval-th read that would go out single is widened back to a
 // 3-vote probe (only when the configured width allows ≥3) so the
 // estimate cannot freeze on a drifting channel.
 func (s *scheduler) chooseWidth(value, gap float64, st *Stats) int {
-	if s.maxW <= 1 {
-		return 1
+	if !s.cfg.Enabled || s.maxW <= 1 {
+		return s.maxW
 	}
 	// A bit worth `value` inside an expected gap of `gap` tolerates
 	// proportionally more vote error: a wrong low-place bit perturbs the
@@ -207,9 +216,10 @@ func (s *scheduler) chooseWidth(value, gap float64, st *Stats) int {
 
 // update feeds one vote's tally into the disagreement estimator. Votes of
 // width < 2 carry no disagreement signal; escalated reads (votes == 0)
-// are excluded — their failures are visible faults, not silent flips.
+// are excluded — their failures are visible faults, not silent flips. A
+// disabled scheduler keeps no estimate.
 func (s *scheduler) update(ones, votes int) {
-	if votes < 2 {
+	if !s.cfg.Enabled || votes < 2 {
 		return
 	}
 	minority := ones
@@ -224,9 +234,10 @@ func (s *scheduler) update(ones, votes int) {
 // at least MinExitSamples reads, the observed change rate plus a
 // one-sided Hoeffding slack at ExitConfidence lies below ExitChangeRate.
 // The remaining (strictly lower-value) planned bits can then be elided.
+// A disabled scheduler never exits early.
 func (s *scheduler) converged(reads, changed int) bool {
 	c := s.cfg
-	if reads < c.MinExitSamples {
+	if !c.Enabled || reads < c.MinExitSamples {
 		return false
 	}
 	slack := math.Sqrt(math.Log(1/(1-c.ExitConfidence)) / (2 * float64(reads)))
@@ -242,43 +253,33 @@ type bitTask struct {
 	score float64 // expected value correction — the schedule key
 }
 
-// planTensor builds the tensor's information-ordered read plan. Candidate
-// bits are exactly the ones index-ordered Algorithm 1 would read (same
-// skip threshold, same place-value bracket, same per-weight cap); only
-// the order changes. The score is the bit's expected |value correction|:
-// its place value times a monotone estimate of the flip probability
-// value/gap implies — U-shape aware through Config.gap, which grows with
-// the pre-trained magnitude. Ties (and everything else) break on (idx, k)
-// so the plan is a pure, deterministic function of (Config, base).
-func planTensor(cfg Config, base []float32) []bitTask {
-	var tasks []bitTask
+// planTensor builds the tensor's read plan: exactly Algorithm 1's
+// candidate bits (Config.selectBits), one task per (weight, fraction
+// bit). Unordered, the plan stays in (index, bit) order — Algorithm 1's
+// own read sequence. Ordered, it follows the bit's expected |value
+// correction|: its place value times a monotone estimate of the flip
+// probability value/gap implies — U-shape aware through Config.gap,
+// which grows with the pre-trained magnitude. Ties (and everything else)
+// break on (idx, k), so either plan is a pure, deterministic function of
+// (Config, base).
+func planTensor(cfg Config, base []float32, ordered bool) []bitTask {
+	tasks := make([]bitTask, 0, planTensorUnits(cfg, base))
 	for i, b := range base {
-		if !isFinite(b) {
-			continue
-		}
-		ab := b
-		if ab < 0 {
-			ab = -ab
-		}
-		if float64(ab) < cfg.SkipThreshold {
-			continue
-		}
-		dist := cfg.gap(b)
-		n := 0
-		for k := 1; k <= ieee754.FractionBits && n < cfg.MaxBitsPerWeight; k++ {
-			v := ieee754.FractionBitValue(ab, k)
-			if v > dist {
-				continue
-			}
+		sel, gap := cfg.selectBits(b)
+		for ; sel != 0; sel &= sel - 1 {
+			k := bits.TrailingZeros32(sel)
+			v := ieee754.FractionBitValue(b, k)
 			tasks = append(tasks, bitTask{
 				idx:   i,
 				k:     k,
 				value: v,
-				gap:   dist,
-				score: v * dist / (dist + 2*v),
+				gap:   gap,
+				score: v * gap / (gap + 2*v),
 			})
-			n++
 		}
+	}
+	if !ordered {
+		return tasks
 	}
 	sort.SliceStable(tasks, func(a, b int) bool {
 		ta, tb := tasks[a], tasks[b]
@@ -294,34 +295,15 @@ func planTensor(cfg Config, base []float32) []bitTask {
 }
 
 // planTensorUnits counts the tensor's candidate bit set — exactly
-// len(planTensor(cfg, base)) — without building or sorting the plan.
-// The candidate selection is shared by the scheduled and index-ordered
-// paths (the scheduler only reorders Algorithm 1's bit set), so this is
-// the planned simulated-unit total a ProgressTracker commits to for a
-// selective tensor on either path: a pure function of (Config, base),
-// worker-invariant and stable across checkpoint/resume.
+// len(planTensor(cfg, base, ordered)) for either order — without
+// building the plan. This is the planned simulated-unit total a
+// ProgressTracker commits to for a selective tensor: a pure function of
+// (Config, base), worker-invariant and stable across checkpoint/resume.
 func planTensorUnits(cfg Config, base []float32) int64 {
 	var units int64
 	for _, b := range base {
-		if !isFinite(b) {
-			continue
-		}
-		ab := b
-		if ab < 0 {
-			ab = -ab
-		}
-		if float64(ab) < cfg.SkipThreshold {
-			continue
-		}
-		dist := cfg.gap(b)
-		n := 0
-		for k := 1; k <= ieee754.FractionBits && n < cfg.MaxBitsPerWeight; k++ {
-			if ieee754.FractionBitValue(ab, k) > dist {
-				continue
-			}
-			n++
-		}
-		units += int64(n)
+		sel, _ := cfg.selectBits(b)
+		units += int64(bits.OnesCount32(sel))
 	}
 	return units
 }

@@ -17,6 +17,7 @@ import (
 	"decepticon/internal/obs"
 	"decepticon/internal/parallel"
 	"decepticon/internal/rng"
+	"decepticon/internal/stats"
 	"decepticon/internal/tensor"
 	"decepticon/internal/zoo"
 )
@@ -32,6 +33,9 @@ const otherClass = "__other__"
 // than one release) picks the pre-trained model.
 type Hierarchical struct {
 	ImgSize int
+	// Classes is the flat release list (the training dataset's classes,
+	// the flat classifier's answer space); Posterior aligns with it.
+	Classes []string
 	// Family classifies traces into architecture-family names
 	// (zoo.Pretrained.ArchName), in first-appearance order.
 	Family *Classifier
@@ -102,6 +106,7 @@ func TrainHierarchical(ctx context.Context, z *zoo.Zoo, d *Dataset, imgSize int,
 	var jobs []famJob
 	h := &Hierarchical{
 		ImgSize: imgSize,
+		Classes: d.Classes,
 		Release: map[string]*Classifier{},
 		Direct:  map[string]string{},
 		Workers: workers,
@@ -241,6 +246,41 @@ func (h *Hierarchical) PredictTopK(t *gpusim.Trace, k int) []string {
 		out = append(out, releaseTopK(h.Release[fam], t, k-len(out))...)
 	}
 	return out
+}
+
+// Posterior returns a probability vector over Classes that hard-gates on
+// the top-scoring family: zero outside it, all mass on the release of a
+// single-release family, else the family's release classifier's softmax
+// over its real classes (otherClass excluded). Its argmax is exactly
+// PredictTopK(t, 1)[0]: release classes keep their global order, and
+// both sides break ties toward the lowest index. This is the hierarchy's
+// entry into posterior fusion.
+func (h *Hierarchical) Posterior(t *gpusim.Trace) []float64 {
+	out := make([]float64, len(h.Classes))
+	fam := h.Family.Classes[stats.TopK(h.Family.scores(t), 1)[0]]
+	if name, ok := h.Direct[fam]; ok {
+		out[indexOf(h.Classes, name)] = 1
+		return out
+	}
+	rc := h.Release[fam]
+	sc := rc.scores(t)
+	if n := len(rc.Classes); n > 0 && rc.Classes[n-1] == otherClass {
+		sc = sc[:n-1]
+	}
+	for i, p := range softmax64(sc) {
+		out[indexOf(h.Classes, rc.Classes[i])] = p
+	}
+	return out
+}
+
+// indexOf returns the position of name in names (-1 when absent).
+func indexOf(names []string, name string) int {
+	for i, n := range names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // Accuracy returns hierarchical top-1 accuracy over a dataset labeled

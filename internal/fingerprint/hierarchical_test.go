@@ -2,6 +2,8 @@ package fingerprint
 
 import (
 	"context"
+	"math"
+	"reflect"
 	"testing"
 )
 
@@ -150,6 +152,42 @@ func TestHierarchicalWorkerCountInvariance(t *testing.T) {
 		a, b := h1.Predict(s.Trace), h4.Predict(s.Trace)
 		if a != b {
 			t.Fatalf("prediction differs across worker counts: %s vs %s", a, b)
+		}
+	}
+}
+
+// Posterior is the hierarchy's entry into fusion: on every sample it is a
+// distribution over the flat classes that is zero outside the top-scoring
+// family, and its argmax is exactly the hierarchy's top prediction.
+func TestHierarchicalPosteriorGatesOnFamily(t *testing.T) {
+	z := getZoo(t)
+	d := BuildDataset(z, 2, 21, 2)
+	h, err := TrainHierarchical(context.Background(), z, d, 32,
+		TrainConfig{Epochs: 3, LR: 0.002, Seed: 5}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(h.Classes, d.Classes) {
+		t.Fatalf("hierarchy classes %v, want the dataset's %v", h.Classes, d.Classes)
+	}
+	for i, s := range d.Samples {
+		post := h.Posterior(s.Trace)
+		if len(post) != len(d.Classes) {
+			t.Fatalf("sample %d: posterior over %d classes, want %d", i, len(post), len(d.Classes))
+		}
+		fam := h.Family.Predict(s.Trace)
+		var sum float64
+		for j, p := range post {
+			sum += p
+			if p != 0 && z.PretrainedByName(d.Classes[j]).ArchName != fam {
+				t.Fatalf("sample %d: mass %v on %s outside family %s", i, p, d.Classes[j], fam)
+			}
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("sample %d: posterior sums to %v", i, sum)
+		}
+		if got, want := d.Classes[ArgMax(post)], h.PredictTopK(s.Trace, 1)[0]; got != want {
+			t.Fatalf("sample %d: posterior argmax %s, PredictTopK %s", i, got, want)
 		}
 	}
 }

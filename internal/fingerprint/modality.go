@@ -316,9 +316,10 @@ func (c *VectorClassifier) Accuracy(d *VecDataset) float64 {
 }
 
 // Posterior returns the CNN's class-probability vector for a trace,
-// aligned with Classes — the trace modality's entry into posterior
-// fusion. Like PredictTopK it leaves the fingerprint.forwards counter
-// alone (that counter meters the legacy single-prediction path).
+// aligned with Classes — the flat trace identifier's entry into
+// posterior fusion. Its argmax is PredictTopK(t, 1)[0] (both break ties
+// toward the lowest index). Like PredictTopK it leaves the
+// fingerprint.forwards counter alone; that counter meters Predict.
 func (c *Classifier) Posterior(t *gpusim.Trace) []float64 {
 	x := tensor.FromSlice(1, c.ImgSize*c.ImgSize, c.preprocess(t))
 	return softmax64(c.net.Forward(x, false).Row(0))

@@ -3,6 +3,7 @@ package fingerprint
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -24,6 +25,32 @@ func TestParseModalities(t *testing.T) {
 	if _, err := ParseModalities("power,power"); err == nil {
 		t.Fatal("duplicate modality must error")
 	}
+}
+
+// FuzzParseModalities: the parser feeds every run's sensor list, so on
+// arbitrary input it must never panic, and whatever it accepts must
+// round-trip through its comma-joined form unchanged.
+func FuzzParseModalities(f *testing.F) {
+	for _, s := range []string{" trace, power ,counters ", "", "trace,laser", "power,power", "trace", "counters,trace", ",", " , "} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ms, err := ParseModalities(s)
+		if err != nil {
+			return
+		}
+		names := make([]string, len(ms))
+		for i, m := range ms {
+			names[i] = string(m)
+		}
+		again, err := ParseModalities(strings.Join(names, ","))
+		if err != nil {
+			t.Fatalf("%q parsed to %v, whose joined form fails: %v", s, ms, err)
+		}
+		if !reflect.DeepEqual(again, ms) {
+			t.Fatalf("%q parsed to %v, joined form re-parses to %v", s, ms, again)
+		}
+	})
 }
 
 func TestVectorizeDatasetWorkerCountInvariance(t *testing.T) {

@@ -99,7 +99,7 @@ func SetBit(f float32, i, bit int) float32 {
 // rule used to decide which bits can cover the expected weight gap.
 func FractionBitValue(f float32, k int) float64 {
 	checkK(k)
-	return math.Pow(2, float64(UnbiasedExponent(f)-k))
+	return math.Ldexp(1, UnbiasedExponent(f)-k)
 }
 
 // IntegerPartValue returns 2^e for f's unbiased exponent e — the value of

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -40,8 +41,9 @@ type campaign struct {
 	tracker    *obs.ProgressTracker
 	lastProg   time.Time // last throttled progress persist
 
-	ledMu sync.Mutex // guards led open/close, never taken under c.mu
-	led   *ledger
+	ledMu     sync.Mutex // guards led and ledClosed, never taken under c.mu
+	led       *ledger
+	ledClosed bool // the ledger is final: no handle is (re)opened
 }
 
 func newCampaign(s *Server, dir string, spec CampaignSpec, st CampaignStatus) *campaign {
@@ -99,11 +101,21 @@ func (c *campaign) resultsPath() string { return filepath.Join(c.dir, "results.n
 func (c *campaign) eventsPath() string  { return filepath.Join(c.dir, "events.ndjson") }
 
 // ledger returns the campaign's event ledger, opening it on first use
-// (recovery truncates a torn tail and continues the sequence).
+// (recovery truncates a torn tail and continues the sequence). A
+// finished campaign never appends again, so once its ledger is final
+// ledger returns nil and opens nothing; a campaign recovered finished
+// only has the ledger's readable length measured.
 func (c *campaign) ledger() (*ledger, error) {
 	c.ledMu.Lock()
 	defer c.ledMu.Unlock()
-	if c.led == nil {
+	if c.led == nil && !c.ledClosed {
+		c.mu.Lock()
+		terminal := c.st.Terminal()
+		c.mu.Unlock()
+		if terminal {
+			c.ledClosed = true
+			return nil, c.measureEvents()
+		}
 		led, err := openLedger(c.eventsPath())
 		if err != nil {
 			return nil, err
@@ -118,6 +130,34 @@ func (c *campaign) ledger() (*ledger, error) {
 	return c.led, nil
 }
 
+// measureEvents sets the readable length of a finished campaign's
+// ledger — its whole lines — without opening it for writing. ledMu held.
+func (c *campaign) measureEvents() error {
+	data, err := os.ReadFile(c.eventsPath())
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("service: read ledger: %w", err)
+	}
+	c.mu.Lock()
+	c.eventsLen = int64(bytes.LastIndexByte(data, '\n') + 1)
+	c.mu.Unlock()
+	return nil
+}
+
+// closeLedger releases the append handle after the campaign's terminal
+// event; later readers and ledger calls never reopen it.
+func (c *campaign) closeLedger() {
+	c.ledMu.Lock()
+	defer c.ledMu.Unlock()
+	c.ledClosed = true
+	if c.led == nil {
+		return
+	}
+	if err := c.led.close(); err != nil {
+		c.srv.reg.Log().Error("service: close ledger", "campaign", c.st.ID, "err", err)
+	}
+	c.led = nil
+}
+
 // event appends one ledger line and wakes watchers. Ledger errors are
 // logged, never fatal: the campaign keeps running with a gap in its
 // audit trail rather than dying over telemetry. Never called with c.mu
@@ -126,6 +166,10 @@ func (c *campaign) event(ev Event) {
 	led, err := c.ledger()
 	if err != nil {
 		c.srv.reg.Log().Error("service: open ledger", "campaign", c.st.ID, "err", err)
+		return
+	}
+	if led == nil {
+		c.srv.reg.Log().Error("service: event after the ledger closed", "campaign", c.st.ID, "event", ev.Event)
 		return
 	}
 	size, err := led.append(ev)
@@ -212,7 +256,8 @@ func (c *campaign) progress() (avail int64, active bool) {
 // eventsProgress is the ledger-stream twin of progress: whole-line bytes
 // available in events.ndjson, and whether this process can still append.
 // The ledger is opened on demand so a reader attached to a recovered
-// campaign sees its full (tail-truncated) history immediately.
+// campaign sees its full (tail-truncated) history immediately; a
+// finished campaign's is only measured, never opened for writing.
 func (c *campaign) eventsProgress() (avail int64, active bool) {
 	if _, err := c.ledger(); err != nil {
 		c.srv.reg.Log().Error("service: open ledger", "campaign", c.st.ID, "err", err)
@@ -290,8 +335,10 @@ func (c *campaign) park(reason string) {
 // finish records a terminal or interrupted state, stamping FinishedAt on
 // the terminal ones (an interrupted campaign is still in flight). The
 // matching ledger event is appended first so an events follower that
-// wakes on the state change finds the line already on disk.
+// wakes on the state change finds the line already on disk; a terminal
+// event is the ledger's last, so its handle closes after it.
 func (c *campaign) finish(state, reason, errMsg string, sum *Summary) {
+	terminal := state == StateDone || state == StateFailed
 	switch state {
 	case StateDone:
 		c.event(Event{Event: EventDone})
@@ -301,19 +348,22 @@ func (c *campaign) finish(state, reason, errMsg string, sum *Summary) {
 		c.event(Event{Event: EventInterrupted, Reason: reason})
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.st.State = state
 	c.st.Reason = reason
 	c.st.Error = errMsg
 	if sum != nil {
 		c.st.Summary = sum
 	}
-	if state == StateDone || state == StateFailed {
+	if terminal {
 		now := time.Now().UTC()
 		c.st.FinishedAt = &now
 	}
 	c.persistStatus()
 	c.bump()
+	c.mu.Unlock()
+	if terminal {
+		c.closeLedger()
+	}
 }
 
 // resultSink is the append path of results.ndjson for one execution.

@@ -262,3 +262,71 @@ func TestProgressAndEventsEndpoints(t *testing.T) {
 	}
 	drain(t, s)
 }
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ents)
+}
+
+// Finished campaigns must not pin file descriptors: each campaign's
+// ledger closes after its terminal event, and reading a finished
+// campaign's events — live or after a restart — opens no write handle.
+func TestFinishedCampaignsReleaseLedgers(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd on this platform")
+	}
+	_, z := getAttack(t)
+	dir := t.TempDir()
+	readEvents := func(s *Server, id string) []Event {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/campaigns/"+id+"/events", nil))
+		events, err := readLedger(rec.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateLedger(events); err != nil {
+			t.Fatalf("campaign %s ledger: %v", id, err)
+		}
+		return events
+	}
+
+	s := newServer(t, dir, nil)
+	var ids []string
+	run := func() {
+		st, err := s.Submit(CampaignSpec{Tenant: "fd", Victims: victimNames(z, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, st.ID, StateDone)
+		readEvents(s, st.ID)
+		ids = append(ids, st.ID)
+	}
+	run() // warm-up: lazily created process-wide descriptors settle here
+	before := openFDs(t)
+	const n = 3
+	for i := 0; i < n; i++ {
+		run()
+	}
+	if after := openFDs(t); after != before {
+		t.Fatalf("%d finished campaigns moved the open descriptor count %d -> %d", n, before, after)
+	}
+	drain(t, s)
+
+	// A restarted server reading finished campaigns' ledgers only reads.
+	s2 := newServer(t, dir, nil)
+	defer drain(t, s2)
+	before = openFDs(t)
+	for _, id := range ids {
+		if events := readEvents(s2, id); events[len(events)-1].Event != EventDone {
+			t.Fatalf("campaign %s ledger ends on %q, want done", id, events[len(events)-1].Event)
+		}
+	}
+	if after := openFDs(t); after != before {
+		t.Fatalf("reading %d finished ledgers moved the open descriptor count %d -> %d", len(ids), before, after)
+	}
+}

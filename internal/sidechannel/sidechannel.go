@@ -237,11 +237,22 @@ func (o *Oracle) RestoreState(s ChannelState) {
 	o.cFaults.Add(s.FaultedReads)
 }
 
-// trueBit returns the ground-truth bit without cost or noise. It backs
-// both the metered reads and the simulation-side metrics. An unknown
-// tensor or out-of-range index is attacker-facing input (a corrupt or
-// adversarial address map), so it surfaces as an error, not a panic.
+// trueBit returns the ground-truth bit without cost or noise; it backs
+// the metered reads.
 func (o *Oracle) trueBit(param string, idx, bit int) (int, error) {
+	w, err := o.PeekWord(param, idx)
+	if err != nil {
+		return 0, err
+	}
+	return ieee754.Bit(w, bit), nil
+}
+
+// PeekWord returns a weight's exact value without cost or noise. It is
+// simulation-side ground truth for metrics — never part of the attacker's
+// channel. An unknown tensor or out-of-range index is attacker-facing
+// input (a corrupt or adversarial address map), so it surfaces as an
+// error, not a panic.
+func (o *Oracle) PeekWord(param string, idx int) (float32, error) {
 	w, ok := o.weights[param]
 	if !ok {
 		return 0, fmt.Errorf("sidechannel: unknown tensor %q", param)
@@ -249,7 +260,7 @@ func (o *Oracle) trueBit(param string, idx, bit int) (int, error) {
 	if idx < 0 || idx >= len(w) {
 		return 0, fmt.Errorf("sidechannel: weight index %d out of range for %q (size %d)", idx, param, len(w))
 	}
-	return ieee754.Bit(w[idx], bit), nil
+	return w[idx], nil
 }
 
 // ReadBit reads raw bit `bit` (0 = LSB, 31 = sign) of weight idx in the
@@ -299,21 +310,6 @@ func (o *Oracle) ReadBit(param string, idx, bit int) (int, error) {
 		o.cFlips.Inc()
 	}
 	return b, nil
-}
-
-// PeekWord returns a weight's exact value without cost or noise. It is
-// simulation-side ground truth for metrics — never part of the attacker's
-// channel.
-func (o *Oracle) PeekWord(param string, idx int) (float32, error) {
-	var out float32
-	for bit := 0; bit < 32; bit++ {
-		b, err := o.trueBit(param, idx, bit)
-		if err != nil {
-			return 0, err
-		}
-		out = ieee754.SetBit(out, bit, b)
-	}
-	return out, nil
 }
 
 // ReadWord reads all 32 bits of one weight (the last-layer full
