@@ -7,8 +7,12 @@ all: verify
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # Static analysis beyond vet. staticcheck is optional locally — the
 # target explains and succeeds when the binary is absent (CI installs
@@ -201,6 +205,7 @@ progress-smoke:
 # pool actually schedules in parallel even on a single-core host.
 race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/parallel
+	GOMAXPROCS=4 $(GO) test -race ./internal/transformer
 	GOMAXPROCS=4 $(GO) test -race -run 'WorkerCountInvariance|ProgressSerialized' ./internal/zoo
 	GOMAXPROCS=4 $(GO) test -race -run 'WorkerCountInvariance' ./internal/fingerprint
 	GOMAXPROCS=4 $(GO) test -race -run 'ParallelPipelineMatchesSerial|ObsReconcilesWithCampaign|RunAllContextCancel|HierFusedCampaignWorkerInvariant' ./internal/core

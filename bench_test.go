@@ -32,6 +32,7 @@ import (
 	"decepticon/internal/obs"
 	"decepticon/internal/rng"
 	"decepticon/internal/sidechannel"
+	"decepticon/internal/task"
 	"decepticon/internal/tensor"
 	"decepticon/internal/traceimg"
 	"decepticon/internal/transformer"
@@ -330,6 +331,19 @@ func BenchmarkTransformerForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Logits(tokens)
+	}
+}
+
+// BenchmarkTransformerPredictions is one dev-set pass, the unit of the
+// Evaluate stage and of extraction's stop condition.
+func BenchmarkTransformerPredictions(b *testing.B) {
+	cfg := transformer.Family()["small"]
+	m := transformer.New(cfg, 1)
+	dev := task.GLUEAnalogs()[0].Generate(cfg.Vocab, 16, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Predictions(dev)
 	}
 }
 

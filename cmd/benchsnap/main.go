@@ -10,8 +10,9 @@
 //	                       so a regression of even one hammer round is
 //	                       visible in review.
 //	BENCH_substrate.json — substrate hot-path timings (GEMM, transformer
-//	                       forward/backward, trace simulation/render,
-//	                       Algorithm 1) normalized by an in-process
+//	                       forward/backward, a dev-set prediction pass,
+//	                       trace simulation/render, Algorithm 1)
+//	                       normalized by an in-process
 //	                       scalar-triad calibration loop, so the numbers
 //	                       track the code, not the machine. The gate
 //	                       compares them within a tolerance (default
@@ -47,6 +48,7 @@ import (
 	"decepticon/internal/rng"
 	"decepticon/internal/sidechannel"
 	"decepticon/internal/stats"
+	"decepticon/internal/task"
 	"decepticon/internal/tensor"
 	"decepticon/internal/traceimg"
 	"decepticon/internal/transformer"
@@ -292,6 +294,14 @@ func substrateSnapshot() *snapshot {
 	measure("forward", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m.Logits(tokens)
+		}
+	})
+	small := transformer.Family()["small"]
+	sm := transformer.New(small, 1)
+	dev := task.GLUEAnalogs()[0].Generate(small.Vocab, 16, 1)
+	measure("predictions", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sm.Predictions(dev)
 		}
 	})
 	measure("train_step", func(b *testing.B) {

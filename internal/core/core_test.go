@@ -10,6 +10,7 @@ import (
 	"decepticon/internal/extract"
 	"decepticon/internal/obs"
 	"decepticon/internal/sidechannel"
+	"decepticon/internal/stats"
 	"decepticon/internal/zoo"
 )
 
@@ -147,6 +148,36 @@ func TestReportFields(t *testing.T) {
 	}
 	if rep.Extract != nil && rep.Clone == nil {
 		t.Fatal("extraction ran but clone missing")
+	}
+}
+
+// The Evaluate stage derives its five scores from one Predictions pass
+// per model; each must equal the models' own scoring methods.
+func TestEvaluateScoresMatchModelMethods(t *testing.T) {
+	atk, z := getAttack(t)
+	checked := 0
+	for _, victim := range z.FineTuned[:4] {
+		rep, err := atk.Run(victim, RunOptions{MeasureSeed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Clone == nil {
+			continue
+		}
+		checked++
+		vm, dev := victim.Model(), victim.Dev
+		want := [5]float64{
+			stats.MatchRate(vm.Predictions(dev), rep.Clone.Predictions(dev)),
+			vm.Evaluate(dev), rep.Clone.Evaluate(dev),
+			vm.EvaluateF1(dev), rep.Clone.EvaluateF1(dev),
+		}
+		got := [5]float64{rep.MatchRate, rep.VictimAcc, rep.CloneAcc, rep.VictimF1, rep.CloneF1}
+		if got != want {
+			t.Fatalf("%s: match/acc/acc/F1/F1 = %v, model methods say %v", victim.Name, got, want)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no victim produced a clone")
 	}
 }
 

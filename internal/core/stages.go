@@ -219,16 +219,17 @@ func (r *attackRun) Evaluate(s *pipeline.State) error {
 	r.prog.SetStage("evaluate")
 	evalSpan := r.a.Obs.StartSpan("core.phase.evaluate_seconds")
 	evalTrace := r.tk.Begin("evaluate")
-	vp := r.victim.Model().Predictions(r.victim.Dev)
-	cp := r.clone.Predictions(r.victim.Dev)
+	// One pass over the dev set per model; every score derives from the
+	// two prediction vectors.
+	vm, dev := r.victim.Model(), r.victim.Dev
+	vp, cp, truth := vm.Predictions(dev), r.clone.Predictions(dev), transformer.Labels(dev)
 	r.rep.MatchRate = stats.MatchRate(vp, cp)
-	r.rep.VictimAcc = r.victim.Model().Evaluate(r.victim.Dev)
-	r.rep.CloneAcc = r.clone.Evaluate(r.victim.Dev)
-	r.rep.VictimF1 = r.victim.Model().EvaluateF1(r.victim.Dev)
-	r.rep.CloneF1 = r.clone.EvaluateF1(r.victim.Dev)
-	// Six passes over the dev set (predictions, accuracy, F1 × victim
-	// and clone) — a deterministic work unit for the lane clock.
-	d := int64(6 * len(r.victim.Dev))
+	r.rep.VictimAcc = stats.Accuracy(vp, truth)
+	r.rep.CloneAcc = stats.Accuracy(cp, truth)
+	r.rep.VictimF1 = stats.MacroF1(vp, truth, vm.Labels)
+	r.rep.CloneF1 = stats.MacroF1(cp, truth, r.clone.Labels)
+	// The two passes are a deterministic work unit for the lane clock.
+	d := int64(2 * len(dev))
 	r.tk.Advance(d)
 	s.Clock.Advance(d)
 	evalTrace.End()

@@ -891,8 +891,8 @@ func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []
 		}
 		stats.CloneForwards += int64(len(validation))
 		n := 0
-		for i, ex := range validation {
-			if clone.Predict(ex.Tokens) == victimPreds[i] {
+		for i, pred := range clone.Predictions(validation) {
+			if pred == victimPreds[i] {
 				n++
 			}
 		}

@@ -351,6 +351,10 @@ func (c *campaign) finish(state, reason, errMsg string, sum *Summary) {
 	c.st.State = state
 	c.st.Reason = reason
 	c.st.Error = errMsg
+	// The execution is over: drop its tracker, which pins every victim's
+	// progress item. Readers get the status from here on; a run that
+	// reaches the end of its stream persists its final progress first.
+	c.tracker = nil
 	if sum != nil {
 		c.st.Summary = sum
 	}

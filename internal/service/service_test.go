@@ -361,3 +361,80 @@ func TestHTTPEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// Two runners attacking the same victims at once share the victims'
+// models, so inference must write no model state: both campaigns finish,
+// each with the results a one-runner server produces.
+func TestConcurrentCampaignsShareVictims(t *testing.T) {
+	_, z := getAttack(t)
+	all := victimNames(z, len(z.FineTuned))
+	specs := []CampaignSpec{
+		{Tenant: "a", Victims: all, MeasureSeed: 1},
+		{Tenant: "b", Victims: all[1:], MeasureSeed: 2},
+	}
+	run := func(runners int) [][]byte {
+		dir := t.TempDir()
+		s := newServer(t, dir, func(c *Config) { c.Runners = runners })
+		defer drain(t, s)
+		var ids []string
+		for _, spec := range specs {
+			st, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, st.ID)
+		}
+		var out [][]byte
+		for _, id := range ids {
+			if st := waitState(t, s, id, StateDone, StateFailed, StateInterrupted); st.State != StateDone {
+				t.Fatalf("runners=%d campaign %s: %+v", runners, id, st)
+			}
+			out = append(out, readResults(t, dir, id))
+		}
+		return out
+	}
+	serial, concurrent := run(1), run(2)
+	for i := range serial {
+		if !bytes.Equal(serial[i], concurrent[i]) {
+			t.Fatalf("campaign %d results differ between one and two runners", i)
+		}
+	}
+}
+
+// A finished campaign releases its progress tracker, and its /progress
+// document is then exactly what a restarted server serves from disk.
+func TestDoneCampaignReleasesTracker(t *testing.T) {
+	_, z := getAttack(t)
+	dir := t.TempDir()
+	progress := func(s *Server, id string) []byte {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/campaigns/"+id+"/progress", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET progress: %d", rec.Code)
+		}
+		return rec.Body.Bytes()
+	}
+	s := newServer(t, dir, nil)
+	st, err := s.Submit(CampaignSpec{Tenant: "a", Victims: victimNames(z, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, st.ID, StateDone)
+	s.mu.Lock()
+	c := s.campaigns[st.ID]
+	s.mu.Unlock()
+	c.mu.Lock()
+	tracker := c.tracker
+	c.mu.Unlock()
+	if tracker != nil {
+		t.Fatal("done campaign still holds its progress tracker")
+	}
+	live := progress(s, st.ID)
+	drain(t, s)
+
+	s2 := newServer(t, dir, nil)
+	defer drain(t, s2)
+	if restarted := progress(s2, st.ID); !bytes.Equal(live, restarted) {
+		t.Fatalf("progress differs after restart:\nlive:      %s\nrestarted: %s", live, restarted)
+	}
+}

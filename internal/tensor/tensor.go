@@ -67,6 +67,17 @@ func (m *Matrix) Zero() {
 	}
 }
 
+// Resize reshapes m to rows×cols over its existing storage, which must
+// have capacity for rows*cols values; the contents are unspecified. A
+// buffer allocated for the largest shape a caller needs thereby serves
+// every smaller one without allocating.
+func (m *Matrix) Resize(rows, cols int) {
+	if rows < 0 || cols < 0 || rows*cols > cap(m.Data) {
+		panic(fmt.Sprintf("tensor: Resize to %dx%d exceeds capacity %d", rows, cols, cap(m.Data)))
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+}
+
 // CopyFrom copies o's contents into m. Shapes must match.
 func (m *Matrix) CopyFrom(o *Matrix) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
@@ -188,16 +199,30 @@ func dot4(a, b0, b1, b2, b3 []float32) (r0, r1, r2, r3 float32) {
 	return r0, r1, r2, r3
 }
 
+// dstCheck panics unless dst is rows×cols.
+func dstCheck(op string, dst *Matrix, rows, cols int) {
+	if dst.Rows != rows || dst.Cols != cols {
+		panic(fmt.Sprintf("tensor: %s destination is %dx%d, want %dx%d", op, dst.Rows, dst.Cols, rows, cols))
+	}
+}
+
 // MatMul returns a × b (a: m×k, b: k×n).
 func MatMul(a, b *Matrix) *Matrix {
+	return MatMulInto(New(a.Rows, b.Cols), a, b)
+}
+
+// MatMulInto writes a × b into dst (m×n) and returns dst. dst must not
+// share storage with a or b.
+func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Cols)
+	dstCheck("MatMul", dst, a.Rows, b.Cols)
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*n : (i+1)*n]
+		orow := dst.Data[i*n : (i+1)*n]
+		clear(orow)
 		k := 0
 		for ; k+4 <= len(arow); k += 4 {
 			axpy4(orow,
@@ -209,19 +234,25 @@ func MatMul(a, b *Matrix) *Matrix {
 			axpy(orow, b.Data[k*n:(k+1)*n], arow[k])
 		}
 	}
-	return out
+	return dst
 }
 
 // MatMulNT returns a × bᵀ (a: m×k, b: n×k).
 func MatMulNT(a, b *Matrix) *Matrix {
+	return MatMulNTInto(New(a.Rows, b.Rows), a, b)
+}
+
+// MatMulNTInto writes a × bᵀ into dst (m×n) and returns dst. dst must
+// not share storage with a or b.
+func MatMulNTInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulNT inner dim mismatch %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Rows)
+	dstCheck("MatMulNT", dst, a.Rows, b.Rows)
 	k := a.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*b.Rows : (i+1)*b.Rows]
+		orow := dst.Data[i*b.Rows : (i+1)*b.Rows]
 		j := 0
 		for ; j+4 <= len(orow); j += 4 {
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = dot4(arow,
@@ -232,15 +263,22 @@ func MatMulNT(a, b *Matrix) *Matrix {
 			orow[j] = dot(arow, b.Data[j*k:(j+1)*k])
 		}
 	}
-	return out
+	return dst
 }
 
 // MatMulTN returns aᵀ × b (a: k×m, b: k×n).
 func MatMulTN(a, b *Matrix) *Matrix {
+	return MatMulTNInto(New(a.Cols, b.Cols), a, b)
+}
+
+// MatMulTNInto writes aᵀ × b into dst (m×n) and returns dst. dst must
+// not share storage with a or b.
+func MatMulTNInto(dst, a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTN inner dim mismatch (%dx%d)ᵀ × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Cols, b.Cols)
+	dstCheck("MatMulTN", dst, a.Cols, b.Cols)
+	clear(dst.Data)
 	n := b.Cols
 	m := a.Cols
 	k := 0
@@ -256,17 +294,17 @@ func MatMulTN(a, b *Matrix) *Matrix {
 		b2 := b.Data[(k+2)*n : (k+3)*n]
 		b3 := b.Data[(k+3)*n : (k+4)*n]
 		for i := 0; i < m; i++ {
-			axpy4(out.Data[i*n:(i+1)*n], b0, b1, b2, b3, a0[i], a1[i], a2[i], a3[i])
+			axpy4(dst.Data[i*n:(i+1)*n], b0, b1, b2, b3, a0[i], a1[i], a2[i], a3[i])
 		}
 	}
 	for ; k < a.Rows; k++ {
 		arow := a.Data[k*m : (k+1)*m]
 		brow := b.Data[k*n : (k+1)*n]
 		for i, av := range arow {
-			axpy(out.Data[i*n:(i+1)*n], brow, av)
+			axpy(dst.Data[i*n:(i+1)*n], brow, av)
 		}
 	}
-	return out
+	return dst
 }
 
 // Transpose returns mᵀ.
@@ -282,12 +320,18 @@ func (m *Matrix) Transpose() *Matrix {
 
 // Add returns a + b element-wise.
 func Add(a, b *Matrix) *Matrix {
+	return AddInto(New(a.Rows, a.Cols), a, b)
+}
+
+// AddInto writes a + b element-wise into dst and returns dst. dst may be
+// a or b.
+func AddInto(dst, a, b *Matrix) *Matrix {
 	shapeCheck("Add", a, b)
-	out := New(a.Rows, a.Cols)
+	dstCheck("Add", dst, a.Rows, a.Cols)
 	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
+		dst.Data[i] = a.Data[i] + b.Data[i]
 	}
-	return out
+	return dst
 }
 
 // Sub returns a - b element-wise.
@@ -302,12 +346,17 @@ func Sub(a, b *Matrix) *Matrix {
 
 // Hadamard returns the element-wise product a ⊙ b.
 func Hadamard(a, b *Matrix) *Matrix {
+	return HadamardInto(New(a.Rows, a.Cols), a, b)
+}
+
+// HadamardInto writes a ⊙ b into dst and returns dst. dst may be a or b.
+func HadamardInto(dst, a, b *Matrix) *Matrix {
 	shapeCheck("Hadamard", a, b)
-	out := New(a.Rows, a.Cols)
+	dstCheck("Hadamard", dst, a.Rows, a.Cols)
 	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
+		dst.Data[i] = a.Data[i] * b.Data[i]
 	}
-	return out
+	return dst
 }
 
 // AddInPlace adds b into a.
@@ -342,7 +391,16 @@ func (m *Matrix) AddRowVector(v []float32) {
 // SumRows returns the column-wise sum of m as a length-Cols slice — the
 // bias gradient for a dense layer.
 func (m *Matrix) SumRows() []float32 {
-	out := make([]float32, m.Cols)
+	return m.SumRowsInto(make([]float32, m.Cols))
+}
+
+// SumRowsInto writes the column-wise sum of m into out (length Cols) and
+// returns it.
+func (m *Matrix) SumRowsInto(out []float32) []float32 {
+	if len(out) != m.Cols {
+		panic("tensor: SumRowsInto length mismatch")
+	}
+	clear(out)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j := range row {
@@ -355,10 +413,17 @@ func (m *Matrix) SumRows() []float32 {
 // SoftmaxRows applies a numerically stable softmax to each row of m,
 // returning a new matrix.
 func SoftmaxRows(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
+	return SoftmaxRowsInto(New(m.Rows, m.Cols), m)
+}
+
+// SoftmaxRowsInto writes the row-wise softmax of m into dst and returns
+// dst. dst may be m: each row's maximum is found before the row is
+// written, and each element is read before it is overwritten.
+func SoftmaxRowsInto(dst, m *Matrix) *Matrix {
+	dstCheck("SoftmaxRows", dst, m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
-		orow := out.Row(i)
+		orow := dst.Row(i)
 		maxv := row[0]
 		for _, v := range row {
 			if v > maxv {
@@ -376,17 +441,23 @@ func SoftmaxRows(m *Matrix) *Matrix {
 			orow[j] *= inv
 		}
 	}
-	return out
+	return dst
 }
 
 // GELU applies the tanh-approximation GELU activation element-wise,
 // returning a new matrix.
 func GELU(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
+	return GELUInto(New(m.Rows, m.Cols), m)
+}
+
+// GELUInto writes GELU(m) element-wise into dst and returns dst. dst may
+// be m.
+func GELUInto(dst, m *Matrix) *Matrix {
+	dstCheck("GELU", dst, m.Rows, m.Cols)
 	for i, x := range m.Data {
-		out.Data[i] = gelu(x)
+		dst.Data[i] = gelu(x)
 	}
-	return out
+	return dst
 }
 
 const geluC = 0.7978845608028654 // sqrt(2/pi)
@@ -398,11 +469,16 @@ func gelu(x float32) float32 {
 
 // GELUGrad returns the element-wise derivative of GELU evaluated at m.
 func GELUGrad(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
+	return GELUGradInto(New(m.Rows, m.Cols), m)
+}
+
+// GELUGradInto writes GELUGrad(m) into dst and returns dst. dst may be m.
+func GELUGradInto(dst, m *Matrix) *Matrix {
+	dstCheck("GELUGrad", dst, m.Rows, m.Cols)
 	for i, x := range m.Data {
-		out.Data[i] = geluGrad(x)
+		dst.Data[i] = geluGrad(x)
 	}
-	return out
+	return dst
 }
 
 func geluGrad(x float32) float32 {

@@ -21,10 +21,10 @@ func TestCausalMaskBlocksFuture(t *testing.T) {
 	a := []int{1, 2, 3, 4, 5}
 	b := []int{1, 2, 3, 4, 9} // only the last token differs
 
-	xa := m.embed(a)
-	outA := m.Blocks[0].forward(xa, m.Heads, m.HeadDim(), true).Clone()
-	xb := m.embed(b)
-	outB := m.Blocks[0].forward(xb, m.Heads, m.HeadDim(), true)
+	xa := m.embed(tensor.New(len(a), m.Hidden), a)
+	outA := m.Blocks[0].forward(xa, &m.newPass().blockBuf, m.Heads, m.HeadDim(), true).Clone()
+	xb := m.embed(tensor.New(len(b), m.Hidden), b)
+	outB := m.Blocks[0].forward(xb, &m.newPass().blockBuf, m.Heads, m.HeadDim(), true)
 
 	for i := 0; i < 4; i++ {
 		for j := 0; j < m.Hidden; j++ {
@@ -51,8 +51,8 @@ func TestEncoderSeesFuture(t *testing.T) {
 	m := New(testConfig(), 21)
 	a := []int{1, 2, 3, 4, 5}
 	b := []int{1, 2, 3, 4, 9}
-	outA := m.Blocks[0].forward(m.embed(a), m.Heads, m.HeadDim(), false).Clone()
-	outB := m.Blocks[0].forward(m.embed(b), m.Heads, m.HeadDim(), false)
+	outA := m.Blocks[0].forward(m.embed(tensor.New(len(a), m.Hidden), a), &m.newPass().blockBuf, m.Heads, m.HeadDim(), false).Clone()
+	outB := m.Blocks[0].forward(m.embed(tensor.New(len(b), m.Hidden), b), &m.newPass().blockBuf, m.Heads, m.HeadDim(), false)
 	diff := false
 	for j := 0; j < m.Hidden; j++ {
 		if outA.At(0, j) != outB.At(0, j) {
@@ -66,11 +66,12 @@ func TestEncoderSeesFuture(t *testing.T) {
 
 func TestCausalAttentionRowsNormalize(t *testing.T) {
 	m := New(causalConfig(), 22)
-	m.Logits([]int{1, 2, 3, 4})
-	for h, probs := range m.Blocks[0].cache.probs {
-		if probs == nil {
-			continue
-		}
+	// The training forward keeps each block's attention weights.
+	m.trainForward([]int{1, 2, 3, 4})
+	checked := 0
+	for h := range m.Blocks[0].train.probs {
+		probs := &m.Blocks[0].train.probs[h]
+		checked++
 		for i := 0; i < probs.Rows; i++ {
 			var sum float32
 			for j, v := range probs.Row(i) {
@@ -83,6 +84,9 @@ func TestCausalAttentionRowsNormalize(t *testing.T) {
 				t.Fatalf("head %d row %d sums to %v", h, i, sum)
 			}
 		}
+	}
+	if checked == 0 {
+		t.Fatal("no attention head was checked")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"decepticon/internal/rng"
+	"decepticon/internal/stats"
 	"decepticon/internal/tensor"
 )
 
@@ -73,19 +74,135 @@ type Block struct {
 	// attention output.
 	HeadPruned []bool
 
-	cache blockCache
+	// train holds the block's intermediates from the last training
+	// forward, which backward and the head-confidence metrics read, and
+	// grad the backward pass's own. Both are allocated by the first
+	// training forward and reused by every later one.
+	train *blockBuf
+	grad  *gradBuf
 }
 
-type blockCache struct {
-	x       *tensor.Matrix   // block input S×H
-	q, k, v *tensor.Matrix   // S×H
-	probs   []*tensor.Matrix // per head S×S attention weights
-	ctx     *tensor.Matrix   // S×H concatenated head outputs
-	ln1     lnCache
-	ln1Out  *tensor.Matrix
-	h1      *tensor.Matrix // pre-GELU S×FFN
-	act     *tensor.Matrix // post-GELU S×FFN
-	ln2     lnCache
+// blockBuf holds every intermediate of one Block.forward. Each matrix
+// owns storage for MaxSeq rows and is viewed at the call's sequence
+// length, so a forward allocates nothing.
+type blockBuf struct {
+	x                *tensor.Matrix  // the block input (read by backward)
+	q, k, v          tensor.Matrix   // S×Hidden projections
+	qh, kh, vh, ctxH tensor.Matrix   // S×headDim, one head at a time
+	probs            []tensor.Matrix // per head S×S attention weights
+	ctx              tensor.Matrix   // S×Hidden concatenated head outputs
+	res              tensor.Matrix   // S×Hidden residual sum, before each layer norm
+	ln1Out, out      tensor.Matrix   // S×Hidden layer-norm outputs
+	h1, act          tensor.Matrix   // S×FFN pre-/post-GELU
+	ln1, ln2         lnCache
+}
+
+// slab hands out consecutive pieces of one allocation.
+type slab []float32
+
+func (s *slab) take(n int) []float32 {
+	v := (*s)[:n:n]
+	*s = (*s)[n:]
+	return v
+}
+
+func (s *slab) matrix(rows, cols int) tensor.Matrix {
+	return tensor.Matrix{Rows: rows, Cols: cols, Data: s.take(rows * cols)}
+}
+
+// blockBufFloats is the storage one blockBuf needs at cfg's MaxSeq.
+func blockBufFloats(cfg Config) int {
+	s, h := cfg.MaxSeq, cfg.Hidden
+	return 9*s*h + 4*s*cfg.HeadDim() + cfg.Heads*s*s + 2*s*cfg.FFN + 2*s
+}
+
+func makeBlockBuf(cfg Config, mem *slab) blockBuf {
+	s, h, hd := cfg.MaxSeq, cfg.Hidden, cfg.HeadDim()
+	f := blockBuf{
+		q: mem.matrix(s, h), k: mem.matrix(s, h), v: mem.matrix(s, h),
+		qh: mem.matrix(s, hd), kh: mem.matrix(s, hd), vh: mem.matrix(s, hd), ctxH: mem.matrix(s, hd),
+		probs: make([]tensor.Matrix, cfg.Heads),
+		ctx:   mem.matrix(s, h), res: mem.matrix(s, h),
+		ln1Out: mem.matrix(s, h), out: mem.matrix(s, h),
+		h1: mem.matrix(s, cfg.FFN), act: mem.matrix(s, cfg.FFN),
+		ln1: lnCache{xhat: mem.matrix(s, h), invStd: mem.take(s)},
+		ln2: lnCache{xhat: mem.matrix(s, h), invStd: mem.take(s)},
+	}
+	for i := range f.probs {
+		f.probs[i] = mem.matrix(s, s)
+	}
+	return f
+}
+
+// resize views every buffer at seq rows.
+func (f *blockBuf) resize(seq int) {
+	for _, m := range []*tensor.Matrix{&f.q, &f.k, &f.v, &f.qh, &f.kh, &f.vh, &f.ctxH,
+		&f.ctx, &f.res, &f.ln1Out, &f.out, &f.h1, &f.act, &f.ln1.xhat, &f.ln2.xhat} {
+		m.Resize(seq, m.Cols)
+	}
+	for i := range f.probs {
+		f.probs[i].Resize(seq, seq)
+	}
+	f.ln1.invStd = f.ln1.invStd[:seq]
+	f.ln2.invStd = f.ln2.invStd[:seq]
+}
+
+// gradBuf holds every intermediate of one Block.backward, sized and
+// viewed like blockBuf.
+type gradBuf struct {
+	dRes, dLn1, dCtx, dQ, dK, dV, dx tensor.Matrix // S×Hidden
+	dAct, dH1                        tensor.Matrix // S×FFN
+	dProbs                           tensor.Matrix // S×S, one head at a time
+	dQh, dKh, dVh                    tensor.Matrix // S×headDim
+	dW                               tensor.Matrix // one weight gradient's product
+	dB, dxhat                        []float32     // one bias gradient's sum; one layer-norm row
+}
+
+// gradBufFloats is the storage one gradBuf needs at cfg's MaxSeq.
+func gradBufFloats(cfg Config) int {
+	s, h, wide := cfg.MaxSeq, cfg.Hidden, max(cfg.Hidden, cfg.FFN)
+	return 7*s*h + 2*s*cfg.FFN + s*s + 3*s*cfg.HeadDim() + h*wide + wide + h
+}
+
+func makeGradBuf(cfg Config, mem *slab) *gradBuf {
+	s, h, hd, wide := cfg.MaxSeq, cfg.Hidden, cfg.HeadDim(), max(cfg.Hidden, cfg.FFN)
+	return &gradBuf{
+		dRes: mem.matrix(s, h), dLn1: mem.matrix(s, h), dCtx: mem.matrix(s, h),
+		dQ: mem.matrix(s, h), dK: mem.matrix(s, h), dV: mem.matrix(s, h), dx: mem.matrix(s, h),
+		dAct: mem.matrix(s, cfg.FFN), dH1: mem.matrix(s, cfg.FFN),
+		dProbs: mem.matrix(s, s),
+		dQh:    mem.matrix(s, hd), dKh: mem.matrix(s, hd), dVh: mem.matrix(s, hd),
+		dW: mem.matrix(h, wide),
+		dB: mem.take(wide), dxhat: mem.take(h),
+	}
+}
+
+// resize views every sequence-shaped buffer at seq rows.
+func (d *gradBuf) resize(seq int) {
+	for _, m := range []*tensor.Matrix{&d.dRes, &d.dLn1, &d.dCtx, &d.dQ, &d.dK, &d.dV, &d.dx,
+		&d.dAct, &d.dH1, &d.dQh, &d.dKh, &d.dVh} {
+		m.Resize(seq, m.Cols)
+	}
+	d.dProbs.Resize(seq, seq)
+}
+
+// pass is one inference forward's working memory: a blockBuf that every
+// block shares — each block reads its predecessor's output in place from
+// out, and the embedding is written there first — plus the head's pooled
+// input and logits. Inference writes only a pass, never the model, so one
+// model serves concurrent predictions.
+type pass struct {
+	blockBuf
+	pooled, logits []float32
+}
+
+func (m *Model) newPass() *pass {
+	mem := make(slab, blockBufFloats(m.Config)+m.Hidden+m.Labels)
+	return &pass{
+		blockBuf: makeBlockBuf(m.Config, &mem),
+		pooled:   mem.take(m.Hidden),
+		logits:   mem.take(m.Labels),
+	}
 }
 
 // Model is a full transformer with a classification head.
@@ -96,11 +213,6 @@ type Model struct {
 	Blocks []*Block
 	HeadW  P // Hidden×Labels: the task-dependent last layer
 	HeadB  P // 1×Labels
-
-	embCache struct {
-		tokens []int
-		x      *tensor.Matrix
-	}
 }
 
 // New returns a model initialized with DefaultInit (BERT's N(0, 0.02)).
@@ -156,15 +268,15 @@ func NewWithInit(cfg Config, seed uint64, init Init) *Model {
 // ---- layer norm ----
 
 type lnCache struct {
-	xhat   *tensor.Matrix
+	xhat   tensor.Matrix
 	invStd []float32
 }
 
 const lnEps = 1e-5
 
-func layerNormForward(x *tensor.Matrix, g, b []float32) (*tensor.Matrix, lnCache) {
-	out := tensor.New(x.Rows, x.Cols)
-	cache := lnCache{xhat: tensor.New(x.Rows, x.Cols), invStd: make([]float32, x.Rows)}
+// layerNormForward writes the layer norm of x into out, keeping the
+// normalized input and inverse deviations in c for the backward pass.
+func layerNormForward(out, x *tensor.Matrix, g, b []float32, c *lnCache) {
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
 		var mean float32
@@ -179,27 +291,25 @@ func layerNormForward(x *tensor.Matrix, g, b []float32) (*tensor.Matrix, lnCache
 		}
 		variance /= float32(len(row))
 		inv := 1 / float32(math.Sqrt(float64(variance)+lnEps))
-		cache.invStd[i] = inv
-		xh := cache.xhat.Row(i)
+		c.invStd[i] = inv
+		xh := c.xhat.Row(i)
 		orow := out.Row(i)
 		for j, v := range row {
 			xh[j] = (v - mean) * inv
 			orow[j] = xh[j]*g[j] + b[j]
 		}
 	}
-	return out, cache
 }
 
-// layerNormBackward consumes dOut and returns dX, accumulating dG and dB.
-func layerNormBackward(dOut *tensor.Matrix, cache lnCache, g, dG, dB []float32) *tensor.Matrix {
-	dx := tensor.New(dOut.Rows, dOut.Cols)
+// layerNormBackward consumes dOut, writes dX into dx and returns it,
+// accumulating dG and dB; dxhat is one row of scratch.
+func layerNormBackward(dx, dOut *tensor.Matrix, cache lnCache, g, dG, dB, dxhat []float32) *tensor.Matrix {
 	n := float32(dOut.Cols)
 	for i := 0; i < dOut.Rows; i++ {
 		dy := dOut.Row(i)
 		xh := cache.xhat.Row(i)
 		inv := cache.invStd[i]
 		var sumDxhat, sumDxhatXhat float32
-		dxhat := make([]float32, len(dy))
 		for j := range dy {
 			dG[j] += dy[j] * xh[j]
 			dB[j] += dy[j]
@@ -217,13 +327,13 @@ func layerNormBackward(dOut *tensor.Matrix, cache lnCache, g, dG, dB []float32) 
 
 // ---- block forward / backward ----
 
-// headSlice copies head h's columns of m (S×Hidden) into an S×headDim matrix.
-func headSlice(m *tensor.Matrix, h, headDim int) *tensor.Matrix {
-	out := tensor.New(m.Rows, headDim)
+// headSlice copies head h's columns of m (S×Hidden) into dst (S×headDim)
+// and returns dst.
+func headSlice(dst, m *tensor.Matrix, h, headDim int) *tensor.Matrix {
 	for i := 0; i < m.Rows; i++ {
-		copy(out.Row(i), m.Row(i)[h*headDim:(h+1)*headDim])
+		copy(dst.Row(i), m.Row(i)[h*headDim:(h+1)*headDim])
 	}
-	return out
+	return dst
 }
 
 // addHeadSlice adds src (S×headDim) into head h's columns of dst.
@@ -241,104 +351,113 @@ func addHeadSlice(dst, src *tensor.Matrix, h, headDim int) {
 // softmax those positions carry effectively zero weight.
 const causalMaskValue = -1e9
 
-func (b *Block) forward(x *tensor.Matrix, heads, headDim int, causal bool) *tensor.Matrix {
-	c := &b.cache
-	c.x = x
-	c.q = tensor.MatMul(x, b.Wq.V)
-	c.q.AddRowVector(b.Bq.V.Data)
-	c.k = tensor.MatMul(x, b.Wk.V)
-	c.k.AddRowVector(b.Bk.V.Data)
-	c.v = tensor.MatMul(x, b.Wv.V)
-	c.v.AddRowVector(b.Bv.V.Data)
+// forward runs the block on x, writing every intermediate into f, and
+// returns the output, which lives in f.out. x may be f.out itself: it is
+// last read by the first residual sum, before the final layer norm
+// overwrites f.out.
+func (b *Block) forward(x *tensor.Matrix, f *blockBuf, heads, headDim int, causal bool) *tensor.Matrix {
+	f.resize(x.Rows)
+	f.x = x
+	tensor.MatMulInto(&f.q, x, b.Wq.V).AddRowVector(b.Bq.V.Data)
+	tensor.MatMulInto(&f.k, x, b.Wk.V).AddRowVector(b.Bk.V.Data)
+	tensor.MatMulInto(&f.v, x, b.Wv.V).AddRowVector(b.Bv.V.Data)
 
 	scale := float32(1 / math.Sqrt(float64(headDim)))
-	c.probs = make([]*tensor.Matrix, heads)
-	c.ctx = tensor.New(x.Rows, heads*headDim)
+	f.ctx.Zero()
 	for h := 0; h < heads; h++ {
 		if b.HeadPruned[h] {
 			continue
 		}
-		qh := headSlice(c.q, h, headDim)
-		kh := headSlice(c.k, h, headDim)
-		vh := headSlice(c.v, h, headDim)
-		scores := tensor.MatMulNT(qh, kh).Scale(scale)
+		qh := headSlice(&f.qh, &f.q, h, headDim)
+		kh := headSlice(&f.kh, &f.k, h, headDim)
+		vh := headSlice(&f.vh, &f.v, h, headDim)
+		// Scores are scaled, masked and normalized in place.
+		probs := tensor.MatMulNTInto(&f.probs[h], qh, kh).Scale(scale)
 		if causal {
-			for i := 0; i < scores.Rows; i++ {
-				row := scores.Row(i)
+			for i := 0; i < probs.Rows; i++ {
+				row := probs.Row(i)
 				for j := i + 1; j < len(row); j++ {
 					row[j] += causalMaskValue
 				}
 			}
 		}
-		probs := tensor.SoftmaxRows(scores)
-		c.probs[h] = probs
-		ctxH := tensor.MatMul(probs, vh)
-		addHeadSlice(c.ctx, ctxH, h, headDim)
+		tensor.SoftmaxRowsInto(probs, probs)
+		addHeadSlice(&f.ctx, tensor.MatMulInto(&f.ctxH, probs, vh), h, headDim)
 	}
 
-	attnOut := tensor.MatMul(c.ctx, b.Wo.V)
+	attnOut := tensor.MatMulInto(&f.res, &f.ctx, b.Wo.V)
 	attnOut.AddRowVector(b.Bo.V.Data)
-	res1 := tensor.Add(x, attnOut)
-	var ln1Out *tensor.Matrix
-	ln1Out, c.ln1 = layerNormForward(res1, b.LN1G.V.Data, b.LN1B.V.Data)
-	c.ln1Out = ln1Out
+	res1 := tensor.AddInto(&f.res, x, attnOut)
+	layerNormForward(&f.ln1Out, res1, b.LN1G.V.Data, b.LN1B.V.Data, &f.ln1)
 
-	c.h1 = tensor.MatMul(ln1Out, b.W1.V)
-	c.h1.AddRowVector(b.B1.V.Data)
-	c.act = tensor.GELU(c.h1)
-	ffnOut := tensor.MatMul(c.act, b.W2.V)
+	tensor.MatMulInto(&f.h1, &f.ln1Out, b.W1.V).AddRowVector(b.B1.V.Data)
+	tensor.GELUInto(&f.act, &f.h1)
+	ffnOut := tensor.MatMulInto(&f.res, &f.act, b.W2.V)
 	ffnOut.AddRowVector(b.B2.V.Data)
-	res2 := tensor.Add(ln1Out, ffnOut)
-	out, ln2 := layerNormForward(res2, b.LN2G.V.Data, b.LN2B.V.Data)
-	c.ln2 = ln2
-	return out
+	res2 := tensor.AddInto(&f.res, &f.ln1Out, ffnOut)
+	layerNormForward(&f.out, res2, b.LN2G.V.Data, b.LN2B.V.Data, &f.ln2)
+	return &f.out
 }
 
-func accumBias(p P, grad *tensor.Matrix) {
-	s := grad.SumRows()
+// accumBias adds grad's column sums, formed in sum, into p's gradient.
+func accumBias(p P, grad *tensor.Matrix, sum []float32) {
+	s := grad.SumRowsInto(sum[:grad.Cols])
 	for i := range s {
 		p.G.Data[i] += s[i]
 	}
 }
 
+// accumWeight adds aᵀ × b, formed in prod, into p's gradient.
+func accumWeight(p P, a, b, prod *tensor.Matrix) {
+	prod.Resize(a.Cols, b.Cols)
+	tensor.AddInPlace(p.G, tensor.MatMulTNInto(prod, a, b))
+}
+
+// backward reads the intermediates of the block's last training forward
+// and writes its own into b.grad; the forward's per-head scratch
+// matrices are free again and hold the head slices. The returned dX
+// lives in b.grad.
 func (b *Block) backward(dOut *tensor.Matrix, heads, headDim int) *tensor.Matrix {
-	c := &b.cache
+	c, d := b.train, b.grad
+	d.resize(dOut.Rows)
 	// LN2 -> residual(ln1Out, ffnOut)
-	dRes2 := layerNormBackward(dOut, c.ln2, b.LN2G.V.Data, b.LN2G.G.Data, b.LN2B.G.Data)
+	dRes2 := layerNormBackward(&d.dRes, dOut, c.ln2, b.LN2G.V.Data, b.LN2G.G.Data, b.LN2B.G.Data, d.dxhat)
 	// ffnOut = act W2 + b2
-	accumBias(b.B2, dRes2)
-	tensor.AddInPlace(b.W2.G, tensor.MatMulTN(c.act, dRes2))
-	dAct := tensor.MatMulNT(dRes2, b.W2.V)
-	dH1 := tensor.Hadamard(dAct, tensor.GELUGrad(c.h1))
-	accumBias(b.B1, dH1)
-	tensor.AddInPlace(b.W1.G, tensor.MatMulTN(c.ln1Out, dH1))
-	dLn1 := tensor.MatMulNT(dH1, b.W1.V)
+	accumBias(b.B2, dRes2, d.dB)
+	accumWeight(b.W2, &c.act, dRes2, &d.dW)
+	dAct := tensor.MatMulNTInto(&d.dAct, dRes2, b.W2.V)
+	dH1 := tensor.HadamardInto(&d.dH1, dAct, tensor.GELUGradInto(&d.dH1, &c.h1))
+	accumBias(b.B1, dH1, d.dB)
+	accumWeight(b.W1, &c.ln1Out, dH1, &d.dW)
+	dLn1 := tensor.MatMulNTInto(&d.dLn1, dH1, b.W1.V)
 	tensor.AddInPlace(dLn1, dRes2) // residual path
 
-	dRes1 := layerNormBackward(dLn1, c.ln1, b.LN1G.V.Data, b.LN1G.G.Data, b.LN1B.G.Data)
+	// dRes2 is dead: dRes1 takes its buffer.
+	dRes1 := layerNormBackward(&d.dRes, dLn1, c.ln1, b.LN1G.V.Data, b.LN1G.G.Data, b.LN1B.G.Data, d.dxhat)
 	// attnOut = ctx Wo + bo
-	accumBias(b.Bo, dRes1)
-	tensor.AddInPlace(b.Wo.G, tensor.MatMulTN(c.ctx, dRes1))
-	dCtx := tensor.MatMulNT(dRes1, b.Wo.V)
+	accumBias(b.Bo, dRes1, d.dB)
+	accumWeight(b.Wo, &c.ctx, dRes1, &d.dW)
+	dCtx := tensor.MatMulNTInto(&d.dCtx, dRes1, b.Wo.V)
 
 	scale := float32(1 / math.Sqrt(float64(headDim)))
-	dQ := tensor.New(c.q.Rows, c.q.Cols)
-	dK := tensor.New(c.k.Rows, c.k.Cols)
-	dV := tensor.New(c.v.Rows, c.v.Cols)
+	dQ, dK, dV := &d.dQ, &d.dK, &d.dV
+	dQ.Zero()
+	dK.Zero()
+	dV.Zero()
 	for h := 0; h < heads; h++ {
 		if b.HeadPruned[h] {
 			continue
 		}
-		probs := c.probs[h]
-		kh := headSlice(c.k, h, headDim)
-		vh := headSlice(c.v, h, headDim)
-		qh := headSlice(c.q, h, headDim)
-		dCtxH := headSlice(dCtx, h, headDim)
+		probs := &c.probs[h]
+		kh := headSlice(&c.kh, &c.k, h, headDim)
+		vh := headSlice(&c.vh, &c.v, h, headDim)
+		qh := headSlice(&c.qh, &c.q, h, headDim)
+		dCtxH := headSlice(&c.ctxH, dCtx, h, headDim)
 
-		dProbs := tensor.MatMulNT(dCtxH, vh)
-		dVh := tensor.MatMulTN(probs, dCtxH)
-		// softmax backward per row: dS = P ⊙ (dP - rowSum(dP⊙P))
-		dScores := tensor.New(probs.Rows, probs.Cols)
+		dProbs := tensor.MatMulNTInto(&d.dProbs, dCtxH, vh)
+		dVh := tensor.MatMulTNInto(&d.dVh, probs, dCtxH)
+		// softmax backward per row, in place: dS = P ⊙ (dP - rowSum(dP⊙P))
+		dScores := dProbs
 		for i := 0; i < probs.Rows; i++ {
 			p := probs.Row(i)
 			dp := dProbs.Row(i)
@@ -346,41 +465,42 @@ func (b *Block) backward(dOut *tensor.Matrix, heads, headDim int) *tensor.Matrix
 			for j := range p {
 				dot += dp[j] * p[j]
 			}
-			ds := dScores.Row(i)
 			for j := range p {
-				ds[j] = p[j] * (dp[j] - dot)
+				dp[j] = p[j] * (dp[j] - dot)
 			}
 		}
 		dScores.Scale(scale)
-		dQh := tensor.MatMul(dScores, kh)
-		dKh := tensor.MatMulTN(dScores, qh)
+		dQh := tensor.MatMulInto(&d.dQh, dScores, kh)
+		dKh := tensor.MatMulTNInto(&d.dKh, dScores, qh)
 		addHeadSlice(dQ, dQh, h, headDim)
 		addHeadSlice(dK, dKh, h, headDim)
 		addHeadSlice(dV, dVh, h, headDim)
 	}
 
-	accumBias(b.Bq, dQ)
-	accumBias(b.Bk, dK)
-	accumBias(b.Bv, dV)
-	tensor.AddInPlace(b.Wq.G, tensor.MatMulTN(c.x, dQ))
-	tensor.AddInPlace(b.Wk.G, tensor.MatMulTN(c.x, dK))
-	tensor.AddInPlace(b.Wv.G, tensor.MatMulTN(c.x, dV))
+	accumBias(b.Bq, dQ, d.dB)
+	accumBias(b.Bk, dK, d.dB)
+	accumBias(b.Bv, dV, d.dB)
+	accumWeight(b.Wq, c.x, dQ, &d.dW)
+	accumWeight(b.Wk, c.x, dK, &d.dW)
+	accumWeight(b.Wv, c.x, dV, &d.dW)
 
-	dx := tensor.MatMulNT(dQ, b.Wq.V)
-	tensor.AddInPlace(dx, tensor.MatMulNT(dK, b.Wk.V))
-	tensor.AddInPlace(dx, tensor.MatMulNT(dV, b.Wv.V))
+	// dCtx is dead: it holds the K and V terms of dX in turn.
+	dx := tensor.MatMulNTInto(&d.dx, dQ, b.Wq.V)
+	tensor.AddInPlace(dx, tensor.MatMulNTInto(dCtx, dK, b.Wk.V))
+	tensor.AddInPlace(dx, tensor.MatMulNTInto(dCtx, dV, b.Wv.V))
 	tensor.AddInPlace(dx, dRes1) // residual path
 	return dx
 }
 
 // ---- model forward / backward ----
 
-// embed returns the token+position embedding matrix for tokens.
-func (m *Model) embed(tokens []int) *tensor.Matrix {
+// embed writes the token+position embedding matrix for tokens into x,
+// viewed at len(tokens) rows, and returns x.
+func (m *Model) embed(x *tensor.Matrix, tokens []int) *tensor.Matrix {
 	if len(tokens) == 0 || len(tokens) > m.MaxSeq {
 		panic(fmt.Sprintf("transformer: sequence length %d out of (0,%d]", len(tokens), m.MaxSeq))
 	}
-	x := tensor.New(len(tokens), m.Hidden)
+	x.Resize(len(tokens), m.Hidden)
 	for i, tok := range tokens {
 		if tok < 0 || tok >= m.Vocab {
 			panic(fmt.Sprintf("transformer: token %d out of vocab %d", tok, m.Vocab))
@@ -395,10 +515,10 @@ func (m *Model) embed(tokens []int) *tensor.Matrix {
 	return x
 }
 
-// pool mean-pools the final block output over sequence positions — the
-// classifier's sentence representation.
-func (m *Model) pool(acts *tensor.Matrix) []float32 {
-	pooled := make([]float32, m.Hidden)
+// pool writes the mean over sequence positions of the final block output
+// into pooled — the classifier's sentence representation — and returns it.
+func (m *Model) pool(pooled []float32, acts *tensor.Matrix) []float32 {
+	clear(pooled)
 	inv := 1 / float32(acts.Rows)
 	for i := 0; i < acts.Rows; i++ {
 		row := acts.Row(i)
@@ -409,8 +529,9 @@ func (m *Model) pool(acts *tensor.Matrix) []float32 {
 	return pooled
 }
 
-func (m *Model) headLogits(pooled []float32) []float32 {
-	logits := make([]float32, m.Labels)
+// headLogits writes the classification head's output into logits and
+// returns it.
+func (m *Model) headLogits(logits, pooled []float32) []float32 {
 	for j := 0; j < m.Labels; j++ {
 		s := m.HeadB.V.Data[j]
 		for i, v := range pooled {
@@ -421,34 +542,50 @@ func (m *Model) headLogits(pooled []float32) []float32 {
 	return logits
 }
 
+// infer runs tokens through every block on p and returns the logits,
+// which live in p.
+func (m *Model) infer(p *pass, tokens []int) []float32 {
+	x := m.embed(&p.out, tokens)
+	for _, b := range m.Blocks {
+		x = b.forward(x, &p.blockBuf, m.Heads, m.HeadDim(), m.Causal)
+	}
+	return m.headLogits(p.logits, m.pool(p.pooled, x))
+}
+
+// trainForward runs tokens through the blocks on each block's own
+// buffers, where backward and the head-confidence metrics read them, and
+// returns the last block's output.
+func (m *Model) trainForward(tokens []int) *tensor.Matrix {
+	x := m.embed(tensor.New(len(tokens), m.Hidden), tokens)
+	for _, b := range m.Blocks {
+		if b.train == nil {
+			mem := make(slab, blockBufFloats(m.Config)+gradBufFloats(m.Config))
+			f := makeBlockBuf(m.Config, &mem)
+			b.train, b.grad = &f, makeGradBuf(m.Config, &mem)
+		}
+		x = b.forward(x, b.train, m.Heads, m.HeadDim(), m.Causal)
+	}
+	return x
+}
+
 // Logits runs a forward pass and returns the classification logits.
 func (m *Model) Logits(tokens []int) []float32 {
-	x := m.embed(tokens)
-	m.embCache.tokens = tokens
-	m.embCache.x = x
-	for _, b := range m.Blocks {
-		x = b.forward(x, m.Heads, m.HeadDim(), m.Causal)
-	}
-	return m.headLogits(m.pool(x))
+	return m.infer(m.newPass(), tokens)
 }
 
 // Predict returns the argmax class for tokens.
 func (m *Model) Predict(tokens []int) int {
-	logits := m.Logits(tokens)
-	best := 0
-	for i := range logits {
-		if logits[i] > logits[best] {
-			best = i
-		}
-	}
-	return best
+	return stats.ArgMax(m.Logits(tokens))
 }
 
 // Probs returns the softmax class distribution for tokens.
 func (m *Model) Probs(tokens []int) []float32 {
-	logits := m.Logits(tokens)
-	mx := tensor.FromSlice(1, len(logits), logits)
-	return tensor.SoftmaxRows(mx).Row(0)
+	return Softmax(m.Logits(tokens))
+}
+
+// Softmax returns the class distribution of logits.
+func Softmax(logits []float32) []float32 {
+	return tensor.SoftmaxRows(tensor.FromSlice(1, len(logits), logits)).Row(0)
 }
 
 // LossAndBackward computes the cross-entropy loss of tokens against label,
@@ -459,17 +596,9 @@ func (m *Model) LossAndBackward(tokens []int, label int) (float64, *tensor.Matri
 	if label < 0 || label >= m.Labels {
 		panic(fmt.Sprintf("transformer: label %d out of range [0,%d)", label, m.Labels))
 	}
-	// Forward (re-runs embed + blocks so caches are fresh).
-	x := m.embed(tokens)
-	m.embCache.tokens = tokens
-	m.embCache.x = x
-	acts := x
-	for _, b := range m.Blocks {
-		acts = b.forward(acts, m.Heads, m.HeadDim(), m.Causal)
-	}
-	pooled := m.pool(acts)
-	logits := m.headLogits(pooled)
-	probs := tensor.SoftmaxRows(tensor.FromSlice(1, len(logits), logits)).Row(0)
+	acts := m.trainForward(tokens)
+	pooled := m.pool(make([]float32, m.Hidden), acts)
+	probs := Softmax(m.headLogits(make([]float32, m.Labels), pooled))
 	p := probs[label]
 	if p < 1e-12 {
 		p = 1e-12
@@ -503,6 +632,8 @@ func (m *Model) LossAndBackward(tokens []int, label int) (float64, *tensor.Matri
 	for l := len(m.Blocks) - 1; l >= 0; l-- {
 		dActs = m.Blocks[l].backward(dActs, m.Heads, m.HeadDim())
 	}
+	// The caller owns the embedding gradient; block 0 reuses its buffer.
+	dActs = dActs.Clone()
 
 	// Embedding gradients.
 	for i, tok := range tokens {

@@ -176,7 +176,8 @@ func TestLayerNormForwardProperties(t *testing.T) {
 	for i := range g {
 		g[i] = 1
 	}
-	out, _ := layerNormForward(x, g, b)
+	out := tensor.New(4, 8)
+	layerNormForward(out, x, g, b, &lnCache{xhat: *tensor.New(4, 8), invStd: make([]float32, 4)})
 	for i := 0; i < out.Rows; i++ {
 		row := out.Row(i)
 		var mean float64

@@ -141,40 +141,41 @@ func (m *Model) Train(examples []Example, cfg TrainConfig) float64 {
 			cfg.OnEpoch(epoch, lastLoss)
 		}
 	}
+	// A trained model mostly serves inference from here on: drop the
+	// training buffers rather than pin them for the model's lifetime.
+	for _, b := range m.Blocks {
+		b.train, b.grad = nil, nil
+	}
 	return lastLoss
 }
 
 // Evaluate returns classification accuracy over examples.
 func (m *Model) Evaluate(examples []Example) float64 {
-	if len(examples) == 0 {
-		return 0
-	}
-	pred := make([]int, len(examples))
-	truth := make([]int, len(examples))
-	for i, ex := range examples {
-		pred[i] = m.Predict(ex.Tokens)
-		truth[i] = ex.Label
-	}
-	return stats.Accuracy(pred, truth)
+	return stats.Accuracy(m.Predictions(examples), Labels(examples))
 }
 
 // EvaluateF1 returns the macro-F1 score over examples.
 func (m *Model) EvaluateF1(examples []Example) float64 {
-	pred := make([]int, len(examples))
-	truth := make([]int, len(examples))
-	for i, ex := range examples {
-		pred[i] = m.Predict(ex.Tokens)
-		truth[i] = ex.Label
-	}
-	return stats.MacroF1(pred, truth, m.Labels)
+	return stats.MacroF1(m.Predictions(examples), Labels(examples), m.Labels)
 }
 
 // Predictions returns the model's argmax outputs for examples — used for
-// the victim/clone "matched predictions" metric and for distillation.
+// the victim/clone "matched predictions" metric and for distillation. It
+// is one pass: every example reuses the same inference buffers.
 func (m *Model) Predictions(examples []Example) []int {
 	out := make([]int, len(examples))
+	p := m.newPass()
 	for i, ex := range examples {
-		out[i] = m.Predict(ex.Tokens)
+		out[i] = stats.ArgMax(m.infer(p, ex.Tokens))
+	}
+	return out
+}
+
+// Labels returns the examples' ground-truth labels in order.
+func Labels(examples []Example) []int {
+	out := make([]int, len(examples))
+	for i, ex := range examples {
+		out[i] = ex.Label
 	}
 	return out
 }
@@ -198,38 +199,17 @@ func FineTuneFrom(pre *Model, numLabels int, examples []Example, cfg TrainConfig
 // Confidence metric (§8): the mean over probe sequences and positions of
 // the maximum attention weight of that head.
 func (m *Model) HeadConfidence(probes [][]int) [][]float64 {
+	series := m.HeadConfidenceSeries(probes)
 	conf := make([][]float64, m.Layers)
 	for l := range conf {
 		conf[l] = make([]float64, m.Heads)
-	}
-	if len(probes) == 0 {
-		return conf
-	}
-	for _, tokens := range probes {
-		m.Logits(tokens) // fills block caches
-		for l, b := range m.Blocks {
-			for h := 0; h < m.Heads; h++ {
-				if b.HeadPruned[h] || b.cache.probs[h] == nil {
-					continue
-				}
-				p := b.cache.probs[h]
-				var sum float64
-				for i := 0; i < p.Rows; i++ {
-					row := p.Row(i)
-					mx := row[0]
-					for _, v := range row {
-						if v > mx {
-							mx = v
-						}
-					}
-					sum += float64(mx)
-				}
-				conf[l][h] += sum / float64(p.Rows)
-			}
+		if len(probes) == 0 {
+			continue
 		}
-	}
-	for l := range conf {
-		for h := range conf[l] {
+		for h, s := range series[l] {
+			for _, v := range s {
+				conf[l][h] += v
+			}
 			conf[l][h] /= float64(len(probes))
 		}
 	}
@@ -250,13 +230,13 @@ func (m *Model) HeadConfidenceSeries(probes [][]int) [][][]float64 {
 		}
 	}
 	for pi, tokens := range probes {
-		m.Logits(tokens) // fills block caches
+		m.trainForward(tokens)
 		for l, b := range m.Blocks {
 			for h := 0; h < m.Heads; h++ {
-				if b.HeadPruned[h] || b.cache.probs[h] == nil {
+				if b.HeadPruned[h] {
 					continue
 				}
-				p := b.cache.probs[h]
+				p := &b.train.probs[h]
 				var sum float64
 				for i := 0; i < p.Rows; i++ {
 					row := p.Row(i)

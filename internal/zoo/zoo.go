@@ -9,6 +9,7 @@ import (
 	"decepticon/internal/obs"
 	"decepticon/internal/parallel"
 	"decepticon/internal/rng"
+	"decepticon/internal/stats"
 	"decepticon/internal/task"
 	"decepticon/internal/tokenizer"
 	"decepticon/internal/transformer"
@@ -98,8 +99,8 @@ func (f *FineTuned) Trace(opt gpusim.Options) *gpusim.Trace {
 // query-output fingerprint uses.
 func (f *FineTuned) ClassifyText(text string) (label int, probs []float32) {
 	m := f.Model()
-	tokens := f.Pretrained.Vocab.Tokenize(text, m.MaxSeq)
-	return m.Predict(tokens), m.Probs(tokens)
+	logits := m.Logits(f.Pretrained.Vocab.Tokenize(text, m.MaxSeq))
+	return stats.ArgMax(logits), transformer.Softmax(logits)
 }
 
 // Zoo is the model population.
