@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench verify metrics-smoke faults-smoke trace-smoke cancel-smoke service-smoke fusion-smoke progress-smoke scale-smoke bench-snap bench-gate bench-smoke
+.PHONY: all build vet lint test race fuzz bench verify metrics-smoke faults-smoke trace-smoke cancel-smoke service-smoke fusion-smoke progress-smoke scale-smoke bench-snap bench-gate bench-smoke
 
 all: verify
 
@@ -94,7 +94,9 @@ trace-smoke:
 # never-interrupted campaign's exactly (Ctrl-C behaves like a read
 # budget: checkpoint, report interrupted, resume byte-identically). The
 # zoo cache is pre-built so every campaign run starts from the same
-# counters and the signal lands in the attack phase, not the build.
+# counters and the signal lands in the attack phase, not the build. The
+# first checkpoint is polled for every 10 ms (up to 60 s): a tiny
+# campaign finishes its extractions within about 50-80 ms of writing it.
 cancel-smoke:
 	rm -rf .cancel-smoke && mkdir -p .cancel-smoke
 	$(GO) build -o .cancel-smoke/decepticon ./cmd/decepticon
@@ -108,7 +110,7 @@ cancel-smoke:
 		-flight .cancel-smoke/flight.json >/dev/null & \
 	  pid=$$!; \
 	  i=0; until ls .cancel-smoke/ckpt/*.ckpt >/dev/null 2>&1; do \
-	    i=$$((i+1)); test $$i -le 600 || break; sleep 0.1; done; \
+	    i=$$((i+1)); test $$i -le 6000 || break; sleep 0.01; done; \
 	  kill -INT $$pid 2>/dev/null; wait $$pid || true )
 	test -s .cancel-smoke/interrupted.json
 	test -s .cancel-smoke/flight.json
@@ -211,6 +213,14 @@ race:
 	GOMAXPROCS=4 $(GO) test -race -run 'ParallelPipelineMatchesSerial|ObsReconcilesWithCampaign|RunAllContextCancel|HierFusedCampaignWorkerInvariant' ./internal/core
 	GOMAXPROCS=4 $(GO) test -race -run 'Snapshot|OrderedSink|Serve|Histogram|Tracer|Flight|Progress' ./internal/obs
 	GOMAXPROCS=4 $(GO) test -race ./internal/service
+
+# Fuzz tier: every decoder of durable state or user input must return an
+# error on arbitrary bytes, never panic. go test -fuzz takes one target
+# per run, each at a fixed budget; a failing input lands in the package's
+# testdata/fuzz directory, where the plain test run replays it.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzResumeCheckpoint$$' -fuzztime 20s ./internal/extract
+	$(GO) test -run '^$$' -fuzz '^FuzzParseModalities$$' -fuzztime 20s ./internal/fingerprint
 
 bench:
 	$(GO) test -bench=. -benchmem

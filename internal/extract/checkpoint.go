@@ -23,10 +23,11 @@ import (
 )
 
 // checkpointVersion guards the on-disk layout. Version 2 added the
-// information-ordered scheduler's estimator state (Sched): a v1 snapshot
-// predates the scheduler and cannot guarantee a byte-identical resume
-// under it, so version skew fails loudly instead of degrading silently.
-const checkpointVersion = 2
+// information-ordered scheduler's estimator state (Sched); version 3 made
+// the head the schedule's first entry, counted by LayersDone. An older
+// snapshot cannot guarantee a byte-identical resume, so version skew
+// fails loudly instead of degrading silently.
+const checkpointVersion = 3
 
 // checkpointTensor is one completed tensor's extracted data.
 type checkpointTensor struct {
@@ -40,12 +41,10 @@ type Checkpoint struct {
 	// Complete marks a finished extraction: resuming one returns the
 	// stored result without touching the channel.
 	Complete bool
-	// PreloopDone records that the pre-loop stop check already ran (and
-	// did not stop), so a resumed run neither repeats nor skips it.
-	PreloopDone bool
-	// LayersDone counts fully processed entries of the layer schedule;
-	// Tensors may additionally hold completed tensors of the next,
-	// partially-done layer.
+	// LayersDone counts fully processed schedule entries — the head
+	// first, then the encoder layers and the embeddings — each including
+	// its stop check. Tensors may additionally hold completed tensors of
+	// the next, partially-done entry.
 	LayersDone int
 	Tensors    []checkpointTensor
 	Stats      Stats
@@ -87,16 +86,16 @@ func readCheckpoint(path string) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// loadCheckpoint restores the extractor's checkpoint when Resume is set:
-// nil (no error) when resuming is off or no file exists yet, an error
-// when the file is unreadable or was written for a different extraction
-// shape. cloneParams maps tensor names to the clone's buffers, used to
-// validate every stored tensor before any of them is applied.
-func (e *Extractor) loadCheckpoint(cloneParams map[string][]float32, numLabels int) (*Checkpoint, error) {
-	if e.CheckpointPath == "" || !e.Resume {
+// loadCheckpoint reads the run's checkpoint when Resume is set: nil (no
+// error) when resuming is off or no file exists yet, an error when the
+// file is unreadable or was written for a different extraction shape.
+// Every stored tensor and the schedule position are validated against
+// the run's clone and schedule before any of them is applied.
+func (r *run) loadCheckpoint() (*Checkpoint, error) {
+	if r.CheckpointPath == "" || !r.Resume {
 		return nil, nil
 	}
-	ck, err := readCheckpoint(e.CheckpointPath)
+	ck, err := readCheckpoint(r.CheckpointPath)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
@@ -104,21 +103,25 @@ func (e *Extractor) loadCheckpoint(cloneParams map[string][]float32, numLabels i
 		return nil, err
 	}
 	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("extract: checkpoint %s: version %d, want %d", e.CheckpointPath, ck.Version, checkpointVersion)
+		return nil, fmt.Errorf("extract: checkpoint %s: version %d, want %d", r.CheckpointPath, ck.Version, checkpointVersion)
 	}
-	if ck.NumLabels != numLabels || ck.LayersTotal != e.Pre.Layers {
+	if ck.NumLabels != r.numLabels || ck.LayersTotal != r.Pre.Layers {
 		return nil, fmt.Errorf(
 			"extract: checkpoint %s was written for a different victim shape (%d labels / %d layers, want %d / %d)",
-			e.CheckpointPath, ck.NumLabels, ck.LayersTotal, numLabels, e.Pre.Layers)
+			r.CheckpointPath, ck.NumLabels, ck.LayersTotal, r.numLabels, r.Pre.Layers)
+	}
+	if ck.LayersDone < 0 || ck.LayersDone > len(r.order) {
+		return nil, fmt.Errorf("extract: checkpoint %s has %d schedule entries done, the schedule has %d",
+			r.CheckpointPath, ck.LayersDone, len(r.order))
 	}
 	for _, t := range ck.Tensors {
-		dst, ok := cloneParams[t.Name]
+		dst, ok := r.params[t.Name]
 		if !ok {
-			return nil, fmt.Errorf("extract: checkpoint %s holds unknown tensor %q", e.CheckpointPath, t.Name)
+			return nil, fmt.Errorf("extract: checkpoint %s holds unknown tensor %q", r.CheckpointPath, t.Name)
 		}
 		if len(dst) != len(t.Data) {
 			return nil, fmt.Errorf("extract: checkpoint %s tensor %q has %d weights, clone expects %d",
-				e.CheckpointPath, t.Name, len(t.Data), len(dst))
+				r.CheckpointPath, t.Name, len(t.Data), len(dst))
 		}
 	}
 	return ck, nil

@@ -11,12 +11,14 @@
 //     fine-tuning gap (estimated from the pre-trained weight value, U-shape
 //     aware) are read — at most two per weight;
 //  3. the task-specific last layer has no pre-trained baseline and is read
-//     in full;
-//  4. encoder layers are extracted from the last layer backward, stopping
-//     as soon as the clone's predictions match the victim (Table 1: early
-//     layers can keep pre-trained weights). The stop condition is checked
-//     before any backbone extraction too — when fine-tuning barely moved
-//     the backbone, the recovered head alone completes the clone.
+//     in full — the same algorithm over a zero baseline with all 32 bits
+//     planned;
+//  4. the head first, then the encoder layers from the last one backward,
+//     are extracted until the clone's predictions match the victim (Table
+//     1: early layers can keep pre-trained weights). The stop condition
+//     ends every schedule entry, the head's included — when fine-tuning
+//     barely moved the backbone, the recovered head alone completes the
+//     clone.
 package extract
 
 import (
@@ -186,13 +188,6 @@ func (c Config) voted(read func(bit int) int) func(bit int) int {
 	}
 }
 
-// BitReader reads one raw bit (0 = LSB) of the weight under extraction.
-// Unlike the infallible func(bit int) int shape, it can represent
-// channel failure: implementations return sidechannel faults (or the
-// sentinel errors of the retry stack) so Algorithm 1 can degrade
-// gracefully instead of cloning garbage.
-type BitReader func(bit int) (int, error)
-
 // Sentinel errors of the fault-tolerant read stack.
 var (
 	// ErrInterrupted is returned by Run when the ReadBudget is exhausted
@@ -232,47 +227,26 @@ func isTensorDegrade(err error) bool {
 }
 
 // ExtractWeight runs Algorithm 1 for a single weight: base is the
-// pre-trained value, read returns the victim's raw bit (0 = LSB). It
-// returns the clone value and which fraction bits (MSB-first indices) were
-// read. Majority voting (ReadRepeats) is applied here; the error-aware
-// path is ExtractWeightErr.
+// pre-trained value, read returns the victim's raw bit (0 = LSB) over a
+// fault-free channel. It returns the clone value and which fraction bits
+// (MSB-first indices) were read, each majority-voted at
+// EffectiveReadRepeats. Reads through a faulty channel go through the
+// tensor loop (run.readPlan), which owns the degrade rule.
 func (c Config) ExtractWeight(base float32, read func(bit int) int) (float32, []int) {
 	v := c.voted(read)
-	clone, checked, _, _ := c.ExtractWeightErr(base, func(bit int) (int, error) {
-		return v(bit), nil
-	})
+	sel, _ := c.selectBits(base)
+	clone := base
+	var checked []int
+	for ; sel != 0; sel &= sel - 1 {
+		k := bits.TrailingZeros32(sel)
+		clone = ieee754.SetFractionBit(clone, k, v(ieee754.FractionBits-k))
+		checked = append(checked, k)
+	}
 	return clone, checked
 }
 
-// ExtractWeightErr is the error-aware Algorithm 1 for a single weight.
-// read must already implement the caller's vote/retry policy. Besides
-// the clone value and the checked bits it returns the fraction-bit
-// indices that degraded to the baseline because their cell was
-// unreadable. A non-nil error means the weight could not be handled at
-// all (tensor-level failure or a non-fault error); bit-level failures
-// never surface as errors.
-func (c Config) ExtractWeightErr(base float32, read BitReader) (clone float32, checked, degraded []int, err error) {
-	sel, _ := c.selectBits(base)
-	clone = base
-	for ; sel != 0; sel &= sel - 1 {
-		k := bits.TrailingZeros32(sel)
-		bit, rerr := read(ieee754.FractionBits - k)
-		if rerr != nil {
-			if isBitDegrade(rerr) {
-				// The cell is gone; keep the baseline bit and move on.
-				degraded = append(degraded, k)
-				continue
-			}
-			return base, nil, nil, rerr
-		}
-		clone = ieee754.SetFractionBit(clone, k, bit)
-		checked = append(checked, k)
-	}
-	return clone, checked, degraded, nil
-}
-
 // selectBits is Algorithm 1's bit selection for one weight, shared by
-// ExtractWeightErr and the tensor planner (planTensor, planTensorUnits).
+// ExtractWeight and the tensor planner (planTensor, planTensorUnits).
 // It returns the fraction bits to read as a mask — bit k set means
 // fraction bit k (MSB-first) is read — plus the weight's expected
 // fine-tuning gap.
@@ -349,7 +323,7 @@ type Stats struct {
 
 	// Last layer (full extraction).
 	HeadWeights  int
-	HeadBitsRead int64 // logical: 32 distinct bit positions per head weight
+	HeadBitsRead int64 // logical: head bit positions read (32 per weight on a clean channel)
 
 	// PhysicalBitReads is the oracle's meter delta over this run: every
 	// bit access the channel charged for, selective and head, including
@@ -548,9 +522,45 @@ type Extractor struct {
 	// resumed run ratchets through exactly the values an uninterrupted
 	// run reports (nil-safe; see obs.ProgressTracker).
 	Progress *obs.ItemProgress
+}
 
-	// Instrument handles resolved once per Run (nil-safe no-ops). The
-	// histograms are fed live reads, so unlike the counters published
+// run is one RunContext call's state: the clone and its tensors, the
+// schedule and how far it got, the accounting, the schedulers, and the
+// run's instruments. Its methods are the read stack, the tensor loop and
+// the tensor-boundary protocol.
+type run struct {
+	*Extractor
+	// ctx is checked at tensor boundaries alongside the read budget, per
+	// planned bit inside tensor loops, and — through Oracle.Bind — before
+	// every metered read.
+	ctx         context.Context
+	numLabels   int
+	validation  []transformer.Example
+	victimPreds []int
+
+	clone  *transformer.Model
+	params map[string][]float32 // the clone's tensors by name
+	pre    map[string][]float32 // the baseline's tensors by name
+	stats  *Stats
+
+	// order is the schedule, one layer number per entry: the head (whose
+	// Layer is Pre.Layers) first, then the encoder layers down to the
+	// embeddings (-1). layersDone counts the finished entries; done and
+	// doneOrder record the finished tensors, which may include some of
+	// the next entry's.
+	order      []int
+	layersDone int
+	done       map[string]bool
+	doneOrder  []string
+	unitsOf    map[string]int64 // planned progress units per tensor
+	unitsDone  int64
+
+	// sched reads the selective tensors (Algorithm 1's fixed schedule
+	// unless Cfg.Schedule.Enabled); its estimator state rides in
+	// checkpoints.
+	sched *scheduler
+
+	// The histograms are fed live reads, so unlike the counters published
 	// from Stats they cover only work performed in this run — a resumed
 	// run's histograms describe the resumed portion.
 	hBitRounds     *obs.Histogram
@@ -558,95 +568,71 @@ type Extractor struct {
 	hTensorRetries *obs.Histogram
 	flight         *obs.FlightRecorder
 	log            *slog.Logger
-
-	// ctx is the run's context (set by RunContext). Checked at tensor
-	// boundaries alongside the read budget, per weight inside tensor
-	// loops, and — through Oracle.Bind — before every metered read.
-	ctx context.Context
-
-	// sched is the run's bit-read scheduler (Algorithm 1's fixed schedule
-	// unless Cfg.Schedule.Enabled); its estimator state rides in
-	// checkpoints.
-	sched *scheduler
 }
 
 // tensorRetry carries the per-tensor retry budget through one tensor's
 // read stack.
 type tensorRetry struct{ budget int }
 
-// retryingRead builds the fault-tolerant raw reader for one weight:
-// retryable faults are retried up to rp.MaxAttempts with bounded
-// exponential backoff in simulated rounds (advancing the channel clock,
-// which is what ends an outage epoch), metered against the tensor's
-// retry budget. Exhausted retries surface as errBitUnreadable — the
-// escalation trigger — and permanent faults pass through untouched.
-func (e *Extractor) retryingRead(name string, idx int, rp RetryPolicy, st *Stats, tr *tensorRetry) BitReader {
-	return func(bit int) (int, error) {
-		backoff := rp.BackoffBase
-		var lastErr error
-		for attempt := 0; attempt < rp.MaxAttempts; attempt++ {
-			b, err := e.Oracle.ReadBit(name, idx, bit)
-			if err == nil {
-				return b, nil
-			}
-			var f *sidechannel.ReadFault
-			if !errors.As(err, &f) {
-				return 0, err // not a channel fault (bad address map): abort
-			}
-			if !f.Retryable {
-				return 0, err // stuck cell or dead region: degrade, don't wait
-			}
-			if tr.budget <= 0 {
-				return 0, fmt.Errorf("tensor %q: %w", name, errTensorBudget)
-			}
-			tr.budget--
-			st.Retries++
-			st.BackoffRounds += backoff
-			e.Oracle.AdvanceClock(backoff)
-			if backoff < rp.BackoffMax {
-				backoff *= 2
-				if backoff > rp.BackoffMax {
-					backoff = rp.BackoffMax
-				}
-			}
-			lastErr = err
+// retryRead is the fault-tolerant raw read of one bit: retryable faults
+// are retried up to rp.MaxAttempts with bounded exponential backoff in
+// simulated rounds (advancing the channel clock, which is what ends an
+// outage epoch), metered against the tensor's retry budget. Exhausted
+// retries surface as errBitUnreadable — the escalation trigger — and
+// permanent faults pass through untouched.
+func (r *run) retryRead(name string, idx, bit int, rp RetryPolicy, tr *tensorRetry) (int, error) {
+	st := r.stats
+	backoff := rp.BackoffBase
+	var lastErr error
+	for attempt := 0; attempt < rp.MaxAttempts; attempt++ {
+		b, err := r.Oracle.ReadBit(name, idx, bit)
+		if err == nil {
+			return b, nil
 		}
-		return 0, fmt.Errorf("%w after %d attempts: %v", errBitUnreadable, rp.MaxAttempts, lastErr)
+		var f *sidechannel.ReadFault
+		if !errors.As(err, &f) {
+			return 0, err // not a channel fault (bad address map): abort
+		}
+		if !f.Retryable {
+			return 0, err // stuck cell or dead region: degrade, don't wait
+		}
+		if tr.budget <= 0 {
+			return 0, fmt.Errorf("tensor %q: %w", name, errTensorBudget)
+		}
+		tr.budget--
+		st.Retries++
+		st.BackoffRounds += backoff
+		r.Oracle.AdvanceClock(backoff)
+		if backoff < rp.BackoffMax {
+			backoff *= 2
+			if backoff > rp.BackoffMax {
+				backoff = rp.BackoffMax
+			}
+		}
+		lastErr = err
 	}
+	return 0, fmt.Errorf("%w after %d attempts: %v", errBitUnreadable, rp.MaxAttempts, lastErr)
 }
 
-// reader stacks the full fault-tolerant policy for one weight: retrying
-// raw reads, an EffectiveReadRepeats majority vote, and the escalated
-// burst on suspected stuck bits.
-func (e *Extractor) reader(name string, idx int, rp RetryPolicy, st *Stats, tr *tensorRetry) BitReader {
-	repeats := e.Cfg.EffectiveReadRepeats()
-	return func(bit int) (int, error) {
-		b, _, _, err := e.votedRead(name, idx, bit, repeats, rp, st, tr)
-		return b, err
-	}
-}
-
-// votedRead performs one logical bit read at an explicit vote width
-// through the full retry → escalate stack; reader (the head) uses the
-// configured width, the selective loop whatever its scheduler chose. Besides the voted bit it
-// returns the vote tally — the scheduler's only evidence of silent flips.
-// votes == 0 marks a result decided by escalation (no tally to learn
-// from).
-func (e *Extractor) votedRead(name string, idx, bit, repeats int, rp RetryPolicy, st *Stats, tr *tensorRetry) (result, ones, votes int, err error) {
+// votedRead performs one logical bit read at the vote width the tensor's
+// scheduler chose, through the full retry → escalate stack. Besides the
+// voted bit it returns the vote tally — the scheduler's only evidence of
+// silent flips. votes == 0 marks a result decided by escalation (no tally
+// to learn from).
+func (r *run) votedRead(name string, idx, bit, repeats int, rp RetryPolicy, tr *tensorRetry) (result, ones, votes int, err error) {
 	// One observation per logical bit: the channel clock delta covers
 	// vote repeats, backoff waits, and escalation bursts — the true
 	// latency of recovering this bit, in simulated rounds.
-	start := e.Oracle.Clock()
-	defer func() { e.hBitRounds.Observe(float64(e.Oracle.Clock() - start)) }()
-	read := e.retryingRead(name, idx, rp, st, tr)
+	start := r.Oracle.Clock()
+	defer func() { r.hBitRounds.Observe(float64(r.Oracle.Clock() - start)) }()
 	for i := 0; i < repeats; i++ {
-		b, rerr := read(bit)
+		b, rerr := r.retryRead(name, idx, bit, rp, tr)
 		if rerr != nil {
 			if errors.Is(rerr, errBitUnreadable) {
 				// Suspected stuck cell: discard the partial vote and
 				// take one escalated, wider vote instead.
-				r, eerr := e.escalate(name, idx, bit, rp, st)
-				return r, 0, 0, eerr
+				res, eerr := r.escalate(name, idx, bit, rp)
+				return res, 0, 0, eerr
 			}
 			return 0, 0, 0, rerr
 		}
@@ -664,14 +650,14 @@ func (e *Extractor) votedRead(name string, idx, bit, repeats int, rp RetryPolicy
 // retry stage already waited out anything transient) collecting at most
 // EscalateRepeats successful reads, majority-voted. No successful read
 // at all confirms the stuck suspicion and degrades the bit.
-func (e *Extractor) escalate(name string, idx, bit int, rp RetryPolicy, st *Stats) (int, error) {
-	st.Escalations++
-	e.flight.Note("escalate", name, map[string]string{
+func (r *run) escalate(name string, idx, bit int, rp RetryPolicy) (int, error) {
+	r.stats.Escalations++
+	r.flight.Note("escalate", name, map[string]string{
 		"index": fmt.Sprint(idx), "bit": fmt.Sprint(bit),
 	})
 	ones, votes := 0, 0
 	for a := 0; a < 2*rp.EscalateRepeats && votes < rp.EscalateRepeats; a++ {
-		b, err := e.Oracle.ReadBit(name, idx, bit)
+		b, err := r.Oracle.ReadBit(name, idx, bit)
 		if err != nil {
 			var f *sidechannel.ReadFault
 			if !errors.As(err, &f) {
@@ -717,333 +703,311 @@ func (e *Extractor) Run(numLabels int, validation []transformer.Example) (*trans
 // RunContext is Run under a context. Cancellation (or a deadline) is a
 // third interrupt door next to the read budget: it is checked at tensor
 // boundaries — right after the checkpoint write, so the interrupted
-// state is always resumable — per weight inside tensor loops, and before
-// every metered oracle read (Oracle.Bind). However it lands, the run
-// returns ErrInterrupted, the boundary checkpoint stands, and because an
-// aborted read charges no meter, a Resume run reproduces the clone,
+// state is always resumable — per planned bit inside tensor loops, and
+// before every metered oracle read (Oracle.Bind). However it lands, the
+// run returns ErrInterrupted, the boundary checkpoint stands, and because
+// an aborted read charges no meter, a Resume run reproduces the clone,
 // Stats, and obs counters of an uninterrupted run byte-identically.
 func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []transformer.Example) (*transformer.Model, *Stats, error) {
 	defer e.Obs.StartSpan("extract.run_seconds").End()
-	e.hBitRounds = e.Obs.Histogram("extract.bit_read_rounds")
-	e.hTensorRounds = e.Obs.Histogram("extract.tensor_rounds")
-	e.hTensorRetries = e.Obs.Histogram("extract.tensor_retries")
-	e.flight = e.Obs.Flight()
-	e.log = e.Obs.Log()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	e.ctx = ctx
-	if ctx.Done() != nil {
-		// Only a cancellable context is worth a per-read check; plain
-		// Background keeps the metered path branch-free.
-		e.Oracle.Bind(ctx)
-	}
-	cfg := e.Cfg
-	stats := &Stats{LayersTotal: e.Pre.Layers}
-	e.sched = newScheduler(cfg.Schedule, cfg.EffectiveReadRepeats())
-
-	// The clone starts as the pre-trained backbone with a fresh head of
-	// the observed width.
-	clone := transformer.New(e.Pre.Config.WithLabels(numLabels), 0)
-	clone.CopyEmbeddingsFrom(e.Pre)
-	for l := range e.Pre.Blocks {
-		clone.CopyBlockFrom(e.Pre, l)
-	}
-	stats.ModelWeights = clone.ParamCount()
-
-	// Validate the address map against the oracle before any metered
-	// read: every tensor the schedule will touch must exist on the victim
-	// with the size the clone expects. Catching a mismatch here turns a
-	// would-be mid-extraction fault into a clean refusal.
-	cloneParams := make(map[string][]float32)
-	for _, p := range clone.Params() {
-		if sz := e.Oracle.TensorSize(p.Name); sz != len(p.Value.Data) {
-			return nil, nil, fmt.Errorf(
-				"extract: address map mismatch for tensor %q: victim has %d weights, clone expects %d",
-				p.Name, sz, len(p.Value.Data))
-		}
-		cloneParams[p.Name] = p.Value.Data
-	}
-
-	// Planned simulated units: the logical bit set the schedule commits
-	// to — 32 bits per head weight, Algorithm 1's candidate set for the
-	// selective tensors (planTensorUnits; the same for either read
-	// order). A pure function of (Config, Pre, numLabels), declared
-	// before any metered work so fractions are monotone from the first
-	// tensor and recomputed identically on resume.
-	preParams := indexParams(e.Pre)
-	unitsOf := make(map[string]int64)
-	var plannedUnits int64
-	for _, p := range clone.Params() {
-		var u int64
-		if p.IsHead {
-			u = 32 * int64(len(p.Value.Data))
-		} else {
-			u = planTensorUnits(cfg, preParams[p.Name])
-		}
-		unitsOf[p.Name] = u
-		plannedUnits += u
-	}
-	e.Progress.SetPlanned(plannedUnits)
-	var unitsDone int64
-	// tensorDone credits a finished tensor's planned units. Cumulative
-	// absolute values (never deltas): a resumed run recomputes the same
-	// running sums from its restored doneOrder, so progress ratchets
-	// through an identical sequence instead of double counting.
-	tensorDone := func(name string) {
-		unitsDone += unitsOf[name]
-		e.Progress.Complete(unitsDone, name)
-	}
-
-	// Checkpoint restore: completed tensors land in the clone, the
-	// accounting in stats, and the channel (meters, clock, noise stream)
-	// rewinds to exactly where the interrupted run stood.
-	ck, err := e.loadCheckpoint(cloneParams, numLabels)
+	r, err := e.newRun(ctx, numLabels, validation)
 	if err != nil {
 		return nil, nil, err
 	}
-	done := make(map[string]bool)
-	var doneOrder []string
-	layersDone := 0
-	preloopDone := false
-	if ck != nil {
-		*stats = ck.Stats
-		for _, t := range ck.Tensors {
-			copy(cloneParams[t.Name], t.Data)
-			done[t.Name] = true
-			doneOrder = append(doneOrder, t.Name)
-		}
-		layersDone = ck.LayersDone
-		preloopDone = ck.PreloopDone
-		e.Oracle.RestoreState(ck.Channel)
-		// The adaptive vote width is a pure function of this state;
-		// restoring it keeps the resumed read sequence byte-identical.
-		e.sched.state = ck.Sched
-		for _, name := range doneOrder {
-			unitsDone += unitsOf[name]
-		}
-		e.Progress.Complete(unitsDone, "restored")
+	complete, err := r.restore()
+	if err != nil {
+		return nil, nil, err
 	}
-	stats.EffectiveReadRepeats = cfg.EffectiveReadRepeats()
-
-	saveCk := func(complete bool) error {
-		if e.CheckpointPath == "" {
-			return nil
-		}
-		c := &Checkpoint{
-			Version:     checkpointVersion,
-			Complete:    complete,
-			PreloopDone: preloopDone,
-			LayersDone:  layersDone,
-			Stats:       *stats,
-			Channel:     e.Oracle.State(),
-			Sched:       e.sched.state,
-			NumLabels:   numLabels,
-			LayersTotal: e.Pre.Layers,
-		}
-		for _, name := range doneOrder {
-			c.Tensors = append(c.Tensors, checkpointTensor{Name: name, Data: cloneParams[name]})
-		}
-		return writeCheckpoint(e.CheckpointPath, c)
-	}
-	// The budget counts every physical attempt the channel metered —
-	// successful and faulted, restored rounds included — and is checked
-	// at tensor boundaries so a tensor is never split across runs.
-	overBudget := func() error {
-		if e.ReadBudget <= 0 {
-			return nil
-		}
-		if paid := e.Oracle.Attempts(); paid >= e.ReadBudget {
-			e.flight.Note("interrupt", "read budget exhausted", map[string]string{
-				"paid":   fmt.Sprint(paid),
-				"budget": fmt.Sprint(e.ReadBudget),
-			})
-			e.log.Warn("extraction interrupted at read budget",
-				"paid", paid, "budget", e.ReadBudget, "tensors_done", len(doneOrder))
-			return fmt.Errorf("%w: %d oracle attempts paid of a %d budget", ErrInterrupted, paid, e.ReadBudget)
-		}
-		return nil
-	}
-	// interrupted is the full tensor-boundary stop check: budget first,
-	// then the context. Both doors sit right after the checkpoint write,
-	// so whichever fires leaves a resumable snapshot with the channel
-	// parked exactly at the boundary.
-	interrupted := func() error {
-		if err := overBudget(); err != nil {
-			return err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			e.flight.Note("interrupt", "context cancelled", map[string]string{
-				"cause":        cerr.Error(),
-				"tensors_done": fmt.Sprint(len(doneOrder)),
-			})
-			e.log.Warn("extraction interrupted by context",
-				"err", cerr, "tensors_done", len(doneOrder))
-			return fmt.Errorf("%w: %v", ErrInterrupted, cerr)
-		}
-		return nil
-	}
-
-	victimPreds := make([]int, len(validation))
-	matches := func() float64 {
-		if len(validation) == 0 {
-			return 0
-		}
-		stats.CloneForwards += int64(len(validation))
-		n := 0
-		for i, pred := range clone.Predictions(validation) {
-			if pred == victimPreds[i] {
-				n++
-			}
-		}
-		return float64(n) / float64(len(validation))
-	}
-	// publish mirrors the run's logical accounting into the registry once
-	// the outcome is known. Everything flows from Stats — never from live
-	// increments — so a resumed run publishes restored work exactly once
-	// and the registry matches an uninterrupted run byte-for-byte. The
-	// oracle mirrors the physical side itself (restored via RestoreState).
-	publish := func() {
-		// Every successful exit (completed checkpoint, pre-loop stop,
-		// schedule exhausted or early-stopped) latches progress at
-		// exactly 1.0 — elided and early-stopped work is finished work.
-		e.Progress.MarkDone()
-		e.Obs.Counter("extract.weights_selective").Add(int64(stats.WeightsTotal))
-		e.Obs.Counter("extract.bits_logical").Add(stats.BitsChecked)
-		e.Obs.Counter("extract.head_bits_logical").Add(stats.HeadBitsRead)
-		e.Obs.Counter("extract.layers_extracted").Add(int64(stats.LayersExtracted))
-		e.Obs.Counter("extract.clone_forwards").Add(stats.CloneForwards)
-		e.Obs.Counter("extract.retries").Add(stats.Retries)
-		e.Obs.Counter("extract.backoff_rounds").Add(stats.BackoffRounds)
-		e.Obs.Counter("extract.escalations").Add(stats.Escalations)
-		e.Obs.Counter("extract.bits_degraded").Add(stats.BitsDegraded)
-		e.Obs.Counter("extract.tensors_degraded").Add(int64(stats.TensorsDegraded))
-		e.Obs.Counter("extract.weights_nonfinite").Add(int64(stats.WeightsNonFinite))
-		e.Obs.Counter("extract.bits_elided").Add(stats.BitsElided)
-		e.Obs.Counter("extract.tensors_converged").Add(int64(stats.TensorsConverged))
-		e.Obs.Counter("extract.probe_reads").Add(stats.ProbeReads)
-		e.Obs.Counter("extract.runs").Inc()
-		e.log.Info("extraction complete",
-			"layers", stats.LayersExtracted,
-			"bits_logical", stats.LogicalBitsRead(),
-			"physical_reads", stats.PhysicalBitReads,
-			"retries", stats.Retries,
-			"tensors_degraded", stats.TensorsDegraded)
-	}
+	r.stats.EffectiveReadRepeats = e.Cfg.EffectiveReadRepeats()
 
 	// Victim predictions are queries, not reads: a resumed run re-issues
 	// them (its registry must account for them like any run's), but only
 	// charges Stats once — QueriesUsed survives the checkpoint.
 	if e.Victim != nil {
 		for i, ex := range validation {
-			victimPreds[i] = e.Victim(ex.Tokens)
+			r.victimPreds[i] = e.Victim(ex.Tokens)
 		}
-		if stats.QueriesUsed == 0 {
-			stats.QueriesUsed = len(validation)
+		if r.stats.QueriesUsed == 0 {
+			r.stats.QueriesUsed = len(validation)
 		}
 	}
 
 	// A completed checkpoint short-circuits everything: the clone and the
 	// accounting are already final; no hammer round is re-paid.
-	if ck != nil && ck.Complete {
-		publish()
-		return clone, stats, nil
+	if complete {
+		r.publish()
+		return r.clone, r.stats, nil
 	}
 
-	// Step A: the task-dependent last layer has no baseline — full read
-	// (with the same majority-vote and retry policy as the selective
-	// reads, since a wrong sign or exponent bit here is catastrophic).
-	for _, p := range clone.Params() {
-		if !p.IsHead || done[p.Name] {
-			continue
-		}
-		if err := e.extractHeadTensor(p.Name, p.Value.Data, stats); err != nil {
-			return nil, nil, e.wrapErr(err)
-		}
-		done[p.Name] = true
-		doneOrder = append(doneOrder, p.Name)
-		tensorDone(p.Name)
-		if err := saveCk(false); err != nil {
+	// Every schedule entry ends in the one stop check. After the head
+	// entry it costs only queries: when fine-tuning barely moved the
+	// backbone, the pre-trained backbone alone already reproduces the
+	// victim. A resumed run restarts at the first unfinished entry, so it
+	// neither repeats nor skips a check — the extra forwards would break
+	// accounting parity with the uninterrupted run.
+	for li := r.layersDone; li < len(r.order); li++ {
+		layer := r.order[li]
+		if err := r.extractEntry(layer); err != nil {
 			return nil, nil, err
 		}
-		if err := interrupted(); err != nil {
-			return nil, nil, err
+		if layer >= 0 && layer < e.Pre.Layers {
+			r.stats.LayersExtracted++
 		}
-	}
-
-	// With the head recovered, the pre-trained backbone alone may already
-	// reproduce the victim (fine-tuning barely moves it); checking the stop
-	// condition before any layer extraction costs only queries. A resumed
-	// run that already passed this gate must not re-check it — the extra
-	// forwards would break accounting parity with the uninterrupted run.
-	if !preloopDone && e.Victim != nil && len(validation) > 0 {
-		if matches() >= cfg.StopMatchRate {
-			if err := saveCk(true); err != nil {
-				return nil, nil, err
-			}
-			publish()
-			return clone, stats, nil
+		r.layersDone = li + 1
+		if r.stopped() {
+			break
 		}
-		preloopDone = true
-		if err := saveCk(false); err != nil {
+		if err := r.save(false); err != nil {
 			return nil, nil, err
 		}
 	}
-	// Schedule: last encoder layer down to the embeddings (-1); Table 1's
-	// observation makes this the order in which the early-stop condition
-	// fires soonest. FirstLayersFirst reverses it for the ablation.
-	order := make([]int, 0, e.Pre.Layers+1)
-	if cfg.FirstLayersFirst {
-		for layer := -1; layer <= e.Pre.Layers-1; layer++ {
-			order = append(order, layer)
-		}
-	} else {
-		for layer := e.Pre.Layers - 1; layer >= -1; layer-- {
-			order = append(order, layer)
-		}
-	}
-	for li := layersDone; li < len(order); li++ {
-		layer := order[li]
-		layerSpan := e.Obs.StartSpan("extract.layer_seconds")
-		for _, p := range clone.Params() {
-			if p.IsHead || p.Layer != layer || done[p.Name] {
-				continue
-			}
-			if terr := e.extractSelectiveTensor(p.Name, preParams[p.Name], p.Value.Data, stats); terr != nil {
-				layerSpan.End()
-				return nil, nil, e.wrapErr(terr)
-			}
-			done[p.Name] = true
-			doneOrder = append(doneOrder, p.Name)
-			tensorDone(p.Name)
-			if err := saveCk(false); err != nil {
-				layerSpan.End()
-				return nil, nil, err
-			}
-			if err := interrupted(); err != nil {
-				layerSpan.End()
-				return nil, nil, err
-			}
-		}
-		if layer >= 0 {
-			stats.LayersExtracted++
-		}
-		layerSpan.End()
-		layersDone = li + 1
-		if e.Victim != nil && len(validation) > 0 {
-			if m := matches(); m >= cfg.StopMatchRate {
-				break
-			}
-		}
-		if err := saveCk(false); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := saveCk(true); err != nil {
+	if err := r.save(true); err != nil {
 		return nil, nil, err
 	}
-	publish()
-	return clone, stats, nil
+	r.publish()
+	return r.clone, r.stats, nil
+}
+
+// newRun builds the run's clone, validates the address map against the
+// oracle, lays out the schedule and declares the planned progress units.
+func (e *Extractor) newRun(ctx context.Context, numLabels int, validation []transformer.Example) (*run, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if ctx.Done() != nil {
+		// Only a cancellable context is worth a per-read check; plain
+		// Background keeps the metered path branch-free.
+		e.Oracle.Bind(ctx)
+	}
+	r := &run{
+		Extractor:      e,
+		ctx:            ctx,
+		numLabels:      numLabels,
+		validation:     validation,
+		victimPreds:    make([]int, len(validation)),
+		params:         make(map[string][]float32),
+		pre:            indexParams(e.Pre),
+		stats:          &Stats{LayersTotal: e.Pre.Layers},
+		done:           make(map[string]bool),
+		unitsOf:        make(map[string]int64),
+		sched:          newScheduler(e.Cfg.Schedule, e.Cfg.EffectiveReadRepeats()),
+		hBitRounds:     e.Obs.Histogram("extract.bit_read_rounds"),
+		hTensorRounds:  e.Obs.Histogram("extract.tensor_rounds"),
+		hTensorRetries: e.Obs.Histogram("extract.tensor_retries"),
+		flight:         e.Obs.Flight(),
+		log:            e.Obs.Log(),
+	}
+
+	// The clone starts as the pre-trained backbone with a fresh head of
+	// the observed width.
+	r.clone = transformer.New(e.Pre.Config.WithLabels(numLabels), 0)
+	r.clone.CopyEmbeddingsFrom(e.Pre)
+	for l := range e.Pre.Blocks {
+		r.clone.CopyBlockFrom(e.Pre, l)
+	}
+	r.stats.ModelWeights = r.clone.ParamCount()
+
+	// Validate the address map against the oracle before any metered
+	// read: every tensor the schedule will touch must exist on the victim
+	// with the size the clone expects. Catching a mismatch here turns a
+	// would-be mid-extraction fault into a clean refusal.
+	//
+	// Planned simulated units: the logical bit set the schedule commits
+	// to — 32 bits per head weight, Algorithm 1's candidate set for the
+	// selective tensors (planTensorUnits; the same for either read
+	// order). A pure function of (Config, Pre, numLabels), declared
+	// before any metered work so fractions are monotone from the first
+	// tensor and recomputed identically on resume.
+	var planned int64
+	for _, p := range r.clone.Params() {
+		if sz := e.Oracle.TensorSize(p.Name); sz != len(p.Value.Data) {
+			return nil, fmt.Errorf(
+				"extract: address map mismatch for tensor %q: victim has %d weights, clone expects %d",
+				p.Name, sz, len(p.Value.Data))
+		}
+		r.params[p.Name] = p.Value.Data
+		u := 32 * int64(len(p.Value.Data))
+		if !p.IsHead {
+			u = planTensorUnits(e.Cfg, r.pre[p.Name])
+		}
+		r.unitsOf[p.Name] = u
+		planned += u
+	}
+	e.Progress.SetPlanned(planned)
+
+	// The schedule: the head, then the last encoder layer down to the
+	// embeddings; Table 1's observation makes this the order in which the
+	// early-stop condition fires soonest. FirstLayersFirst reverses the
+	// encoder part for the ablation.
+	r.order = []int{e.Pre.Layers}
+	for i := 0; i <= e.Pre.Layers; i++ {
+		if e.Cfg.FirstLayersFirst {
+			r.order = append(r.order, i-1)
+		} else {
+			r.order = append(r.order, e.Pre.Layers-1-i)
+		}
+	}
+	return r, nil
+}
+
+// restore applies the checkpoint when resuming: completed tensors land in
+// the clone, the accounting in stats, and the channel (meters, clock,
+// noise stream) and the scheduler's estimator rewind to exactly where the
+// interrupted run stood. It reports whether the extraction had finished.
+func (r *run) restore() (complete bool, err error) {
+	ck, err := r.loadCheckpoint()
+	if ck == nil {
+		return false, err
+	}
+	*r.stats = ck.Stats
+	for _, t := range ck.Tensors {
+		copy(r.params[t.Name], t.Data)
+		r.done[t.Name] = true
+		r.doneOrder = append(r.doneOrder, t.Name)
+		r.unitsDone += r.unitsOf[t.Name]
+	}
+	r.layersDone = ck.LayersDone
+	r.Oracle.RestoreState(ck.Channel)
+	// The adaptive vote width is a pure function of this state; restoring
+	// it keeps the resumed read sequence byte-identical.
+	r.sched.state = ck.Sched
+	r.Progress.Complete(r.unitsDone, "restored")
+	return ck.Complete, nil
+}
+
+// extractEntry extracts one schedule entry's unfinished tensors, closing
+// each with the tensor-boundary protocol.
+func (r *run) extractEntry(layer int) error {
+	defer r.Obs.StartSpan("extract.layer_seconds").End()
+	for _, p := range r.clone.Params() {
+		if p.Layer != layer || r.done[p.Name] {
+			continue
+		}
+		if err := r.extractTensor(p); err != nil {
+			return r.wrapErr(err)
+		}
+		if err := r.boundary(p.Name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// boundary is the tensor-boundary protocol: mark the tensor done, credit
+// its planned progress units, write the checkpoint, then check the read
+// budget and the context. Progress values are cumulative absolutes, never
+// deltas: a resumed run recomputes the same running sums from its
+// restored doneOrder, so progress ratchets through an identical sequence
+// instead of double counting.
+func (r *run) boundary(name string) error {
+	r.done[name] = true
+	r.doneOrder = append(r.doneOrder, name)
+	r.unitsDone += r.unitsOf[name]
+	r.Progress.Complete(r.unitsDone, name)
+	if err := r.save(false); err != nil {
+		return err
+	}
+	return r.interrupted()
+}
+
+// save writes the run's checkpoint, when CheckpointPath is set.
+func (r *run) save(complete bool) error {
+	if r.CheckpointPath == "" {
+		return nil
+	}
+	c := &Checkpoint{
+		Version:     checkpointVersion,
+		Complete:    complete,
+		LayersDone:  r.layersDone,
+		Stats:       *r.stats,
+		Channel:     r.Oracle.State(),
+		Sched:       r.sched.state,
+		NumLabels:   r.numLabels,
+		LayersTotal: r.Pre.Layers,
+	}
+	for _, name := range r.doneOrder {
+		c.Tensors = append(c.Tensors, checkpointTensor{Name: name, Data: r.params[name]})
+	}
+	return writeCheckpoint(r.CheckpointPath, c)
+}
+
+// interrupted is the stop check at a tensor boundary: the read budget
+// first, then the context. Both doors sit right after the checkpoint
+// write, so whichever fires leaves a resumable snapshot with the channel
+// parked exactly at the boundary. The budget counts every physical
+// attempt the channel metered — successful and faulted, restored rounds
+// included — so a tensor is never split across runs.
+func (r *run) interrupted() error {
+	if paid := r.Oracle.Attempts(); r.ReadBudget > 0 && paid >= r.ReadBudget {
+		r.flight.Note("interrupt", "read budget exhausted", map[string]string{
+			"paid":   fmt.Sprint(paid),
+			"budget": fmt.Sprint(r.ReadBudget),
+		})
+		r.log.Warn("extraction interrupted at read budget",
+			"paid", paid, "budget", r.ReadBudget, "tensors_done", len(r.doneOrder))
+		return fmt.Errorf("%w: %d oracle attempts paid of a %d budget", ErrInterrupted, paid, r.ReadBudget)
+	}
+	if cerr := r.ctx.Err(); cerr != nil {
+		r.flight.Note("interrupt", "context cancelled", map[string]string{
+			"cause":        cerr.Error(),
+			"tensors_done": fmt.Sprint(len(r.doneOrder)),
+		})
+		r.log.Warn("extraction interrupted by context",
+			"err", cerr, "tensors_done", len(r.doneOrder))
+		return fmt.Errorf("%w: %v", ErrInterrupted, cerr)
+	}
+	return nil
+}
+
+// stopped is the stop check that ends every schedule entry: with a victim
+// to query, the clone agrees with it on at least StopMatchRate of the
+// validation inputs.
+func (r *run) stopped() bool {
+	if r.Victim == nil || len(r.validation) == 0 {
+		return false
+	}
+	r.stats.CloneForwards += int64(len(r.validation))
+	n := 0
+	for i, pred := range r.clone.Predictions(r.validation) {
+		if pred == r.victimPreds[i] {
+			n++
+		}
+	}
+	return float64(n)/float64(len(r.validation)) >= r.Cfg.StopMatchRate
+}
+
+// publish mirrors the run's logical accounting into the registry once the
+// outcome is known. Everything flows from Stats — never from live
+// increments — so a resumed run publishes restored work exactly once and
+// the registry matches an uninterrupted run byte-for-byte. The oracle
+// mirrors the physical side itself (restored via RestoreState).
+func (r *run) publish() {
+	// Every successful exit (completed checkpoint, schedule exhausted or
+	// early-stopped) latches progress at exactly 1.0 — elided and
+	// early-stopped work is finished work.
+	r.Progress.MarkDone()
+	st := r.stats
+	r.Obs.Counter("extract.weights_selective").Add(int64(st.WeightsTotal))
+	r.Obs.Counter("extract.bits_logical").Add(st.BitsChecked)
+	r.Obs.Counter("extract.head_bits_logical").Add(st.HeadBitsRead)
+	r.Obs.Counter("extract.layers_extracted").Add(int64(st.LayersExtracted))
+	r.Obs.Counter("extract.clone_forwards").Add(st.CloneForwards)
+	r.Obs.Counter("extract.retries").Add(st.Retries)
+	r.Obs.Counter("extract.backoff_rounds").Add(st.BackoffRounds)
+	r.Obs.Counter("extract.escalations").Add(st.Escalations)
+	r.Obs.Counter("extract.bits_degraded").Add(st.BitsDegraded)
+	r.Obs.Counter("extract.tensors_degraded").Add(int64(st.TensorsDegraded))
+	r.Obs.Counter("extract.weights_nonfinite").Add(int64(st.WeightsNonFinite))
+	r.Obs.Counter("extract.bits_elided").Add(st.BitsElided)
+	r.Obs.Counter("extract.tensors_converged").Add(int64(st.TensorsConverged))
+	r.Obs.Counter("extract.probe_reads").Add(st.ProbeReads)
+	r.Obs.Counter("extract.runs").Inc()
+	r.log.Info("extraction complete",
+		"layers", st.LayersExtracted,
+		"bits_logical", st.LogicalBitsRead(),
+		"physical_reads", st.PhysicalBitReads,
+		"retries", st.Retries,
+		"tensors_degraded", st.TensorsDegraded)
 }
 
 // wrapErr maps a context error escaping a tensor loop to ErrInterrupted
@@ -1052,41 +1016,31 @@ func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []
 // stands, and since an aborted oracle read charges no meter, a Resume
 // run re-pays only this tensor's partial work and still reproduces the
 // uninterrupted clone, Stats, and counters byte-identically.
-func (e *Extractor) wrapErr(err error) error {
+func (r *run) wrapErr(err error) error {
 	if err == nil || (!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)) {
 		return err
 	}
-	e.flight.Note("interrupt", "context cancelled", map[string]string{"cause": err.Error()})
-	e.log.Warn("extraction interrupted by context", "err", err)
+	r.flight.Note("interrupt", "context cancelled", map[string]string{"cause": err.Error()})
+	r.log.Warn("extraction interrupted by context", "err", err)
 	return fmt.Errorf("%w: %v", ErrInterrupted, err)
-}
-
-// ctxErr is the cheap cancellation probe used inside tensor loops (per
-// head weight, per planned selective bit), so a cancellation lands
-// within one weight's reads even between metered oracle reads.
-func (e *Extractor) ctxErr() error {
-	if e.ctx == nil {
-		return nil
-	}
-	return e.ctx.Err()
 }
 
 // tensorSpan instruments one tensor's extraction: a trace span (named
 // after the tensor) on the victim's track, advanced by the simulated
 // rounds the channel spent, plus the per-tensor latency/retry histograms
 // and a debug log line. Returns the closer for defer.
-func (e *Extractor) tensorSpan(name string, stats *Stats) func() {
-	sp := e.Trace.Begin(name)
-	clockStart := e.Oracle.Clock()
-	retriesStart := stats.Retries
+func (r *run) tensorSpan(name string) func() {
+	sp := r.Trace.Begin(name)
+	clockStart := r.Oracle.Clock()
+	retriesStart := r.stats.Retries
 	return func() {
-		rounds := e.Oracle.Clock() - clockStart
-		e.Trace.Advance(rounds)
+		rounds := r.Oracle.Clock() - clockStart
+		r.Trace.Advance(rounds)
 		sp.End()
-		e.hTensorRounds.Observe(float64(rounds))
-		e.hTensorRetries.Observe(float64(stats.Retries - retriesStart))
-		e.log.Debug("tensor extracted", "tensor", name,
-			"rounds", rounds, "retries", stats.Retries-retriesStart)
+		r.hTensorRounds.Observe(float64(rounds))
+		r.hTensorRetries.Observe(float64(r.stats.Retries - retriesStart))
+		r.log.Debug("tensor extracted", "tensor", name,
+			"rounds", rounds, "retries", r.stats.Retries-retriesStart)
 	}
 }
 
@@ -1104,150 +1058,28 @@ func isFinite(v float32) bool {
 	return !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
-// extractHeadTensor fully reads one last-layer tensor (no baseline
-// exists) through the fault-tolerant stack. Unreadable bits stay zero;
-// if the tensor's retry budget dies (or its region is gone for good) the
-// remaining weights are zeroed and recorded as degraded — with no
-// baseline to fall back on, zero is the only honest value.
-func (e *Extractor) extractHeadTensor(name string, dst []float32, stats *Stats) error {
-	defer e.tensorSpan(name, stats)()
-	rp := e.Cfg.Retry.withDefaults()
-	tr := &tensorRetry{budget: rp.TensorRetryBudget}
-	faultsBefore := e.Oracle.FaultedReads
-	defer func() { stats.ReadFaults += e.Oracle.FaultedReads - faultsBefore }()
-	degradeFrom := -1
-	for i := range dst {
-		if cerr := e.ctxErr(); cerr != nil {
-			return fmt.Errorf("extract: head tensor %q: %w", name, cerr)
-		}
-		before := e.Oracle.BitReads
-		read := e.reader(name, i, rp, stats, tr)
-		var w float32
-		logical := 0
-		var werr error
-		for bit := 0; bit < 32; bit++ {
-			b, err := read(bit)
-			if err != nil {
-				if isBitDegrade(err) {
-					stats.BitsDegraded++
-					continue // the bit stays 0
-				}
-				werr = err
-				break
-			}
-			w = ieee754.SetBit(w, bit, b)
-			logical++
-		}
-		stats.PhysicalBitReads += e.Oracle.BitReads - before
-		if werr != nil {
-			if isTensorDegrade(werr) {
-				degradeFrom = i
-				break
-			}
-			return fmt.Errorf("extract: head readout: %w", werr)
-		}
-		dst[i] = w
-		stats.HeadWeights++
-		stats.HeadBitsRead += int64(logical)
-		if logical < 32 {
-			stats.WeightsDegraded++
-		}
+// extractTensor applies Algorithm 1 to one tensor of the clone. A
+// selective tensor reads planTensor's plan — exactly Algorithm 1's
+// candidate bits — over its pre-trained baseline under the run's
+// scheduler, then takes the ground-truth accounting pass. The head has no
+// baseline and is read in full: its plan is every raw bit of every weight
+// in index order, read over zeros under a disabled scheduler — one vote
+// width, EffectiveReadRepeats, and no early exit.
+func (r *run) extractTensor(p transformer.NamedParam) error {
+	defer r.tensorSpan(p.Name)()
+	cfg, st, dst := r.Cfg, r.stats, p.Value.Data
+	if p.IsHead {
+		st.HeadWeights += len(dst)
+		fixed := newScheduler(SchedulerConfig{}, cfg.EffectiveReadRepeats())
+		_, err := r.readPlan(p.Name, make([]float32, len(dst)), dst, planFull(len(dst)), fixed, &st.HeadBitsRead)
+		return err
 	}
-	if degradeFrom >= 0 {
-		for i := degradeFrom; i < len(dst); i++ {
-			dst[i] = 0
-			stats.HeadWeights++
-			stats.WeightsDegraded++
-		}
-		stats.TensorsDegraded++
-		stats.DegradedTensors = append(stats.DegradedTensors, name)
-		e.noteDegrade(name, degradeFrom, len(dst))
-	}
-	return nil
-}
-
-// noteDegrade records a tensor falling back to its baseline (or zeros)
-// in the flight recorder and the log.
-func (e *Extractor) noteDegrade(name string, from, size int) {
-	e.flight.Note("degrade", name, map[string]string{
-		"from": fmt.Sprint(from), "weights": fmt.Sprint(size - from),
-	})
-	e.log.Warn("tensor degraded", "tensor", name, "from", from, "weights", size-from)
-}
-
-// extractSelectiveTensor applies Algorithm 1 to one selective tensor,
-// writing the clone into dst and the accounting into stats. The loop
-// reads planTensor's plan — exactly Algorithm 1's candidate bits — under
-// the run's scheduler: disabled, that is Algorithm 1 itself (index
-// order, every bit voted at EffectiveReadRepeats); enabled, reads follow
-// descending information, each vote width comes from the adaptive
-// estimator (clamped to EffectiveReadRepeats), and a converged bit
-// posterior elides the remaining — strictly lower-value — planned bits.
-//
-// Channel faults degrade by one rule in either order: an unreadable bit
-// keeps the baseline bit; a spent tensor budget or dead region ends the
-// tensor's reads, keeping every bit already read. A weight counts as
-// degraded when a fault left any of its planned bits unread.
-func (e *Extractor) extractSelectiveTensor(name string, base, dst []float32, stats *Stats) error {
-	defer e.tensorSpan(name, stats)()
-	cfg := e.Cfg
-	rp := cfg.Retry.withDefaults()
-	tr := &tensorRetry{budget: rp.TensorRetryBudget}
-	faultsBefore := e.Oracle.FaultedReads
-	defer func() { stats.ReadFaults += e.Oracle.FaultedReads - faultsBefore }()
-
-	// Every weight starts as its baseline copy.
-	copy(dst, base)
-	stats.WeightsTotal += len(base)
-	stats.BitsTotal += 32 * int64(len(base))
-
-	// Per-weight raw-bit masks: the bits planned, the bits read, and the
-	// planned bits a fault left unread.
-	plan := planTensor(cfg, base, cfg.Schedule.Enabled)
-	masks := make([]weightBits, len(base))
-	for _, t := range plan {
-		masks[t.idx].planned |= t.rawMask()
-	}
-	sc := e.sched
-
-	reads, changed := 0, 0 // early-exit evidence for this tensor
-	for ti, task := range plan {
-		if cerr := e.ctxErr(); cerr != nil {
-			return fmt.Errorf("extract: tensor %q: %w", name, cerr)
-		}
-		width := sc.chooseWidth(task.value, task.gap, stats)
-		before := e.Oracle.BitReads
-		bit, ones, votes, err := e.votedRead(name, task.idx, ieee754.FractionBits-task.k, width, rp, stats, tr)
-		stats.PhysicalBitReads += e.Oracle.BitReads - before
-		if err != nil {
-			if isBitDegrade(err) {
-				stats.BitsDegraded++
-				masks[task.idx].lost |= task.rawMask()
-				continue
-			}
-			if isTensorDegrade(err) {
-				e.degradeTail(name, plan[ti:], masks, stats)
-				break
-			}
-			return fmt.Errorf("extract: tensor %q: %w", name, err)
-		}
-		sc.update(ones, votes)
-		dst[task.idx] = ieee754.SetFractionBit(dst[task.idx], task.k, bit)
-		masks[task.idx].read |= task.rawMask()
-		stats.BitsChecked++
-		reads++
-		if bit != ieee754.FractionBit(base[task.idx], task.k) {
-			changed++
-		}
-		if ti+1 < len(plan) && sc.converged(reads, changed) {
-			stats.BitsElided += int64(len(plan) - ti - 1)
-			stats.TensorsConverged++
-			e.flight.Note("converge", name, map[string]string{
-				"read":   fmt.Sprint(reads),
-				"elided": fmt.Sprint(len(plan) - ti - 1),
-			})
-			break
-		}
+	base := r.pre[p.Name]
+	st.WeightsTotal += len(base)
+	st.BitsTotal += 32 * int64(len(base))
+	masks, err := r.readPlan(p.Name, base, dst, planTensor(cfg, base, cfg.Schedule.Enabled), r.sched, &st.BitsChecked)
+	if err != nil {
+		return err
 	}
 
 	// Ground-truth accounting (the simulator can peek for metrics; the
@@ -1255,35 +1087,32 @@ func (e *Extractor) extractSelectiveTensor(name string, base, dst []float32, sta
 	// not visit weights in index order.
 	for i, b := range base {
 		m := masks[i]
-		if m.lost != 0 {
-			stats.WeightsDegraded++
-		}
 		if !isFinite(b) {
 			// Corrupt baseline, copied and flagged unread (see selectBits);
 			// gap-based ground-truth accounting is meaningless against
 			// garbage.
-			stats.WeightsNonFinite++
+			st.WeightsNonFinite++
 			continue
 		}
-		victim, err := e.Oracle.PeekWord(name, i)
+		victim, err := r.Oracle.PeekWord(p.Name, i)
 		if err != nil {
-			return fmt.Errorf("extract: tensor %q: %w", name, err)
+			return fmt.Errorf("extract: tensor %q: %w", p.Name, err)
 		}
 		if m.planned == 0 {
 			// Algorithm 1 selected no bits for this weight (sub-threshold,
 			// or the gap sits below the finest candidate place value).
-			stats.WeightsSkipped++
+			st.WeightsSkipped++
 			if math.Abs(float64(victim-b)) < cfg.SkipThreshold {
-				stats.WeightsSkippedCorrect++
+				st.WeightsSkippedCorrect++
 			}
 		} else if math.Abs(float64(victim-dst[i])) <= cfg.gap(b) {
-			stats.WeightsWithinGap++
+			st.WeightsWithinGap++
 		}
 		if dst[i] == victim {
-			stats.WeightsExact++
+			st.WeightsExact++
 		}
 		if (victim >= 0) != (b >= 0) && victim != 0 {
-			stats.SignFlips++
+			st.SignFlips++
 		}
 		// Bits excluded correctly: unread bits that either match the
 		// victim or sit below the negligible-impact place value (§6.1.1).
@@ -1292,13 +1121,13 @@ func (e *Extractor) extractSelectiveTensor(name string, base, dst []float32, sta
 				continue
 			}
 			if ieee754.Bit(victim, bit) == ieee754.Bit(b, bit) {
-				stats.BitsExcludedCorrect++
+				st.BitsExcludedCorrect++
 				continue
 			}
 			if bit < ieee754.FractionBits {
 				k := ieee754.FractionBits - bit
 				if ieee754.FractionBitValue(b, k) < cfg.SubtleValue {
-					stats.BitsExcludedCorrect++
+					st.BitsExcludedCorrect++
 				}
 			}
 		}
@@ -1306,25 +1135,98 @@ func (e *Extractor) extractSelectiveTensor(name string, base, dst []float32, sta
 	return nil
 }
 
-// weightBits tracks one weight's planned fraction bits through a tensor's
-// read loop, as masks over raw bit positions (bit 0 = LSB).
+// readPlan is the one tensor loop. dst starts as a copy of base and takes
+// every bit the plan reads; logical counts them. Disabled, the scheduler
+// is Algorithm 1 itself (plan order, every bit voted at
+// EffectiveReadRepeats); enabled, each vote width comes from the adaptive
+// estimator (clamped to EffectiveReadRepeats), and a converged bit
+// posterior elides the remaining — strictly lower-value — planned bits.
+//
+// Channel faults degrade by one rule in any plan order: an unreadable bit
+// keeps the baseline bit; a spent tensor budget or dead region ends the
+// tensor's reads, keeping every bit already read. A weight counts as
+// degraded when a fault left any of its planned bits unread. readPlan
+// returns the per-weight masks for the ground-truth pass.
+func (r *run) readPlan(name string, base, dst []float32, plan []bitTask, sc *scheduler, logical *int64) ([]weightBits, error) {
+	st := r.stats
+	rp := r.Cfg.Retry.withDefaults()
+	tr := &tensorRetry{budget: rp.TensorRetryBudget}
+	faultsBefore := r.Oracle.FaultedReads
+	defer func() { st.ReadFaults += r.Oracle.FaultedReads - faultsBefore }()
+
+	copy(dst, base)
+	masks := make([]weightBits, len(base))
+	for _, t := range plan {
+		masks[t.idx].planned |= t.mask()
+	}
+	reads, changed := 0, 0 // early-exit evidence for this tensor
+	for ti, task := range plan {
+		if cerr := r.ctx.Err(); cerr != nil {
+			return nil, fmt.Errorf("extract: tensor %q: %w", name, cerr)
+		}
+		width := sc.chooseWidth(task.value, task.gap, st)
+		before := r.Oracle.BitReads
+		bit, ones, votes, err := r.votedRead(name, task.idx, task.bit, width, rp, tr)
+		st.PhysicalBitReads += r.Oracle.BitReads - before
+		if err != nil {
+			if isBitDegrade(err) {
+				st.BitsDegraded++
+				masks[task.idx].lost |= task.mask()
+				continue
+			}
+			if isTensorDegrade(err) {
+				r.degradeTail(name, plan[ti:], masks)
+				break
+			}
+			return nil, fmt.Errorf("extract: tensor %q: %w", name, err)
+		}
+		sc.update(ones, votes)
+		dst[task.idx] = ieee754.SetBit(dst[task.idx], task.bit, bit)
+		masks[task.idx].read |= task.mask()
+		*logical++
+		reads++
+		if bit != ieee754.Bit(base[task.idx], task.bit) {
+			changed++
+		}
+		if ti+1 < len(plan) && sc.converged(reads, changed) {
+			st.BitsElided += int64(len(plan) - ti - 1)
+			st.TensorsConverged++
+			r.flight.Note("converge", name, map[string]string{
+				"read":   fmt.Sprint(reads),
+				"elided": fmt.Sprint(len(plan) - ti - 1),
+			})
+			break
+		}
+	}
+	for _, m := range masks {
+		if m.lost != 0 {
+			st.WeightsDegraded++
+		}
+	}
+	return masks, nil
+}
+
+// weightBits tracks one weight's planned bits through a tensor's read
+// loop, as masks over raw bit positions (bit 0 = LSB).
 type weightBits struct {
 	planned, read, lost uint32
 }
 
-// rawMask is the task's raw bit position as a weightBits mask.
-func (t bitTask) rawMask() uint32 { return 1 << (ieee754.FractionBits - t.k) }
-
 // degradeTail records a tensor-level fault that ended a tensor's reads:
 // every still-planned bit stays at the baseline and its weight counts as
-// degraded, while the bits already read are kept.
-func (e *Extractor) degradeTail(name string, rest []bitTask, masks []weightBits, stats *Stats) {
+// degraded, while the bits already read are kept. The flight recorder and
+// the log note where the unread tail begins.
+func (r *run) degradeTail(name string, rest []bitTask, masks []weightBits) {
 	unread := make(map[int]bool)
 	for _, t := range rest {
 		unread[t.idx] = true
-		masks[t.idx].lost |= t.rawMask()
+		masks[t.idx].lost |= t.mask()
 	}
-	stats.TensorsDegraded++
-	stats.DegradedTensors = append(stats.DegradedTensors, name)
-	e.noteDegrade(name, len(masks)-len(unread), len(masks))
+	r.stats.TensorsDegraded++
+	r.stats.DegradedTensors = append(r.stats.DegradedTensors, name)
+	from, size := len(masks)-len(unread), len(masks)
+	r.flight.Note("degrade", name, map[string]string{
+		"from": fmt.Sprint(from), "weights": fmt.Sprint(size - from),
+	})
+	r.log.Warn("tensor degraded", "tensor", name, "from", from, "weights", size-from)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -28,14 +29,11 @@ func TestNonFiniteBaselineNeverRead(t *testing.T) {
 		float32(math.Inf(-1)),
 	} {
 		reads := 0
-		clone, checked, degraded, err := cfg.ExtractWeightErr(base, func(bit int) (int, error) {
+		clone, checked := cfg.ExtractWeight(base, func(bit int) int {
 			reads++
-			return 1, nil
+			return 1
 		})
-		if err != nil {
-			t.Fatalf("base %v: %v", base, err)
-		}
-		if reads != 0 || len(checked) != 0 || len(degraded) != 0 {
+		if reads != 0 || len(checked) != 0 {
 			t.Fatalf("base %v: %d reads, checked %v — non-finite baselines must stay unread",
 				base, reads, checked)
 		}
@@ -194,88 +192,105 @@ func TestPermanentOutageDegradesTensor(t *testing.T) {
 }
 
 // TestOutageMidTensorKeepsReadBits pins the single degrade rule under
-// Algorithm 1's index order: a region outage starting partway through a
-// tensor's reads ends them there, but every bit read before it stays in
-// the clone — including the first bit of a weight whose second bit the
-// outage cut off — and only weights with an unread planned bit count as
-// degraded.
+// Algorithm 1's index order, for a selective tensor and for the head: a
+// region outage starting partway through a tensor's reads ends them
+// there, but every bit read before it stays in the clone — including the
+// read bits of the weight the outage cut — the logical bit counters count
+// them, and only weights with an unread planned bit count as degraded.
 func TestOutageMidTensorKeepsReadBits(t *testing.T) {
 	pre, victim := smallPair()
 	cfg := DefaultConfig()
-	// The first selective tensor extracted follows the fully read head:
-	// on a clean channel at one read per bit, its reads start at channel
-	// clock 32 × head weights.
-	var target string
-	var c0 int64
+	base, truth := indexParams(pre), indexParams(victim)
+	extract := func(plan *sidechannel.FaultPlan) (map[string][]float32, *Stats) {
+		oracle := sidechannel.NewOracle(victim)
+		oracle.SetFaultPlan(plan)
+		ex := &Extractor{Pre: pre, Oracle: oracle, Cfg: cfg}
+		clone, st, err := ex.Run(victim.Config.Labels, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return indexParams(clone), st
+	}
+	_, clean := extract(nil)
+
+	// On a clean channel at one read per bit the head is read first, 32
+	// reads per weight, then the last encoder layer.
+	var head, sel string
+	var headReads int64
 	for _, p := range victim.Params() {
 		switch {
 		case p.IsHead:
-			c0 += 32 * int64(len(p.Value.Data))
-		case target == "" && p.Layer == victim.Layers-1:
-			target = p.Name
+			if head == "" {
+				head = p.Name
+			}
+			headReads += 32 * int64(len(p.Value.Data))
+		case sel == "" && p.Layer == victim.Layers-1:
+			sel = p.Name
 		}
 	}
-	var base, truth []float32
-	for _, p := range pre.Params() {
-		if p.Name == target {
-			base = p.Value.Data
-		}
-	}
-	for _, p := range victim.Params() {
-		if p.Name == target {
-			truth = p.Value.Data
-		}
-	}
-	// Cut at the second planned bit of a weight whose first planned bit
-	// differs from the baseline, a third of the way in or later.
-	plan := planTensor(cfg, base, false)
-	cut := -1
-	for ti := len(plan) / 3; ti < len(plan) && cut < 0; ti++ {
-		prev := plan[ti-1]
-		if plan[ti].idx == prev.idx &&
-			ieee754.FractionBit(truth[prev.idx], prev.k) != ieee754.FractionBit(base[prev.idx], prev.k) {
-			cut = ti
-		}
-	}
-	if cut < 0 {
-		t.Fatalf("%s: no partly readable weight to cut at", target)
-	}
-
-	oracle := sidechannel.NewOracle(victim)
-	oracle.SetFaultPlan(&sidechannel.FaultPlan{
-		Outages: []sidechannel.Outage{{Param: target, From: c0 + int64(cut) + 1}}, // permanent
-	})
-	ex := &Extractor{Pre: pre, Oracle: oracle, Cfg: cfg}
-	clone, st, err := ex.Run(victim.Config.Labels, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TensorsDegraded != 1 || len(st.DegradedTensors) != 1 || st.DegradedTensors[0] != target {
-		t.Fatalf("degraded tensors %v, want exactly %q", st.DegradedTensors, target)
-	}
-
-	want := append([]float32(nil), base...)
-	unread := map[int]bool{}
-	for ti, task := range plan {
-		if ti < cut {
-			want[task.idx] = ieee754.SetFractionBit(want[task.idx], task.k, ieee754.FractionBit(truth[task.idx], task.k))
-		} else {
-			unread[task.idx] = true
-		}
-	}
-	for _, p := range clone.Params() {
-		if p.Name != target {
-			continue
-		}
-		for i := range want {
-			if p.Value.Data[i] != want[i] {
-				t.Fatalf("%s[%d] = %v, want %v (bits read before the outage kept, the rest baseline)",
-					target, i, p.Value.Data[i], want[i])
+	n := len(truth[head])
+	for _, c := range []struct {
+		target string
+		isHead bool
+		base   []float32
+		plan   []bitTask
+		c0     int64 // channel clock before the tensor's first read
+	}{
+		{sel, false, base[sel], planTensor(cfg, base[sel], false), headReads},
+		{head, true, make([]float32, n), planFull(n), 0},
+	} {
+		truth := truth[c.target]
+		// Cut at a bit whose predecessor in the plan belongs to the same
+		// weight and differs from the baseline, a third of the way in or
+		// later.
+		cut := -1
+		for ti := len(c.plan) / 3; ti < len(c.plan) && cut < 0; ti++ {
+			prev := c.plan[ti-1]
+			if c.plan[ti].idx == prev.idx &&
+				ieee754.Bit(truth[prev.idx], prev.bit) != ieee754.Bit(c.base[prev.idx], prev.bit) {
+				cut = ti
 			}
 		}
-	}
-	if st.WeightsDegraded != len(unread) {
-		t.Fatalf("weights degraded %d, want the %d with an unread planned bit", st.WeightsDegraded, len(unread))
+		if cut < 0 {
+			t.Fatalf("%s: no partly readable weight to cut at", c.target)
+		}
+
+		clone, st := extract(&sidechannel.FaultPlan{
+			Outages: []sidechannel.Outage{{Param: c.target, From: c.c0 + int64(cut) + 1}}, // permanent
+		})
+		if st.TensorsDegraded != 1 || len(st.DegradedTensors) != 1 || st.DegradedTensors[0] != c.target {
+			t.Fatalf("degraded tensors %v, want exactly %q", st.DegradedTensors, c.target)
+		}
+		want := append([]float32(nil), c.base...)
+		unread := map[int]bool{}
+		for ti, task := range c.plan {
+			if ti < cut {
+				want[task.idx] = ieee754.SetBit(want[task.idx], task.bit, ieee754.Bit(truth[task.idx], task.bit))
+			} else {
+				unread[task.idx] = true
+			}
+		}
+		for i := range want {
+			if got := clone[c.target][i]; math.Float32bits(got) != math.Float32bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, want %v (bits read before the outage kept, the rest baseline)",
+					c.target, i, got, want[i])
+			}
+		}
+		if st.WeightsDegraded != len(unread) {
+			t.Fatalf("%s: weights degraded %d, want the %d with an unread planned bit",
+				c.target, st.WeightsDegraded, len(unread))
+		}
+		lost := int64(len(c.plan) - cut)
+		wantHead, wantSel := clean.HeadBitsRead, clean.BitsChecked
+		if c.isHead {
+			wantHead -= lost
+		} else {
+			wantSel -= lost
+		}
+		if st.HeadBitsRead != wantHead || st.BitsChecked != wantSel {
+			t.Fatalf("%s: logical bits head %d / selective %d, want %d / %d",
+				c.target, st.HeadBitsRead, st.BitsChecked, wantHead, wantSel)
+		}
 	}
 }
 
@@ -641,22 +656,67 @@ func TestCheckpointShapeGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A checkpoint recorded for a different victim shape is refused.
-	bad := *good
-	bad.NumLabels = good.NumLabels + 1
-	if err := writeCheckpoint(path, &bad); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		what  string
+		spoil func(ck *Checkpoint)
+	}{
+		{"a different victim shape", func(ck *Checkpoint) { ck.NumLabels++ }},
+		{"another checkpoint version", func(ck *Checkpoint) { ck.Version++ }},
+		// A schedule position outside [0, len(schedule)] names no entry.
+		{"a negative schedule position", func(ck *Checkpoint) { ck.Complete, ck.LayersDone = false, -3 }},
+		{"a schedule position past its end", func(ck *Checkpoint) { ck.Complete, ck.LayersDone = false, 99 }},
+	} {
+		bad := *good
+		c.spoil(&bad)
+		if err := writeCheckpoint(path, &bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ex2.Run(victim.Config.Labels, nil); err == nil {
+			t.Fatalf("resume from a checkpoint with %s must be refused", c.what)
+		}
 	}
-	if _, _, err := ex2.Run(victim.Config.Labels, nil); err == nil {
-		t.Fatal("resume against a different victim shape must be refused")
+}
+
+// FuzzResumeCheckpoint: a checkpoint is durable state read back from
+// disk, so resuming from arbitrary bytes returns an error or a clone,
+// never a panic. The seeds are a budget-interrupted and a completed
+// checkpoint of the same extraction.
+func FuzzResumeCheckpoint(f *testing.F) {
+	pre, victim := smallPair()
+	newEx := func(path string, resume bool, budget int64) *Extractor {
+		return &Extractor{
+			Pre:            pre,
+			Oracle:         sidechannel.NewOracle(victim),
+			Cfg:            DefaultConfig(),
+			CheckpointPath: path,
+			Resume:         resume,
+			ReadBudget:     budget,
+		}
 	}
-	// Version skew is refused too.
-	bad = *good
-	bad.Version = checkpointVersion + 1
-	if err := writeCheckpoint(path, &bad); err != nil {
-		t.Fatal(err)
+	path := filepath.Join(f.TempDir(), "seed.ckpt")
+	addSeed := func() {
+		seed, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
 	}
-	if _, _, err := ex2.Run(victim.Config.Labels, nil); err == nil {
-		t.Fatal("resume across checkpoint versions must be refused")
+	if _, _, err := newEx(path, false, 1000).Run(victim.Config.Labels, nil); !errors.Is(err, ErrInterrupted) {
+		f.Fatalf("seed run: want ErrInterrupted, got %v", err)
 	}
+	addSeed()
+	if _, _, err := newEx(path, true, 0).Run(victim.Config.Labels, nil); err != nil {
+		f.Fatal(err)
+	}
+	addSeed()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		clone, st, err := newEx(path, true, 0).Run(victim.Config.Labels, nil)
+		if err == nil && (clone == nil || st == nil) {
+			t.Fatal("a resume without an error returned no clone")
+		}
+	})
 }

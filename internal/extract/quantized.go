@@ -16,7 +16,7 @@ import (
 // because the two formats share an exponent layout.
 func (c Config) ExtractWeightFormat(base float32, fm ieee754.Format, read func(bit int) int) (float32, []int) {
 	pattern := fm.Quantize(base)
-	// Same guard as ExtractWeightErr: a non-finite baseline defeats the
+	// Same guard as selectBits: a non-finite baseline defeats the
 	// place-value bracket (every comparison against a NaN/Inf gap is
 	// false) and would read garbage bits at hammer cost.
 	if !isFinite(base) {

@@ -1,6 +1,7 @@
-// Bit-read scheduling (DESIGN.md §12). Every selective tensor is
-// extracted by one loop over a read plan that holds exactly Algorithm 1's
-// candidate bits (Config.selectBits); the scheduler decides only the
+// Bit-read scheduling (DESIGN.md §12). Every tensor is extracted by one
+// loop over a read plan: a selective tensor's holds exactly Algorithm 1's
+// candidate bits (Config.selectBits), the head's every bit (planFull,
+// always read under a disabled scheduler). The scheduler decides only the
 // plan's order, each read's vote width, and when to stop. Disabled (the
 // zero SchedulerConfig), it is Algorithm 1 as printed: index order, every
 // bit voted at EffectiveReadRepeats, no early exit. At 2048 hammer rounds
@@ -244,21 +245,24 @@ func (s *scheduler) converged(reads, changed int) bool {
 	return float64(changed)/float64(reads)+slack < c.ExitChangeRate
 }
 
-// bitTask is one planned fraction-bit read.
+// bitTask is one planned bit read.
 type bitTask struct {
 	idx   int     // weight index within the tensor
-	k     int     // fraction bit, MSB-first (ieee754 convention)
-	value float64 // place value 2^(e-k)
+	bit   int     // raw bit position, 0 = LSB (ieee754.SetBit)
+	value float64 // place value 2^(e-k) of fraction bit k = FractionBits-bit
 	gap   float64 // the weight's estimated fine-tuning gap
 	score float64 // expected value correction — the schedule key
 }
 
+// mask is the task's bit as a weightBits mask.
+func (t bitTask) mask() uint32 { return 1 << t.bit }
+
 // planTensor builds the tensor's read plan: exactly Algorithm 1's
 // candidate bits (Config.selectBits), one task per (weight, fraction
-// bit). Unordered, the plan stays in (index, bit) order — Algorithm 1's
-// own read sequence. Ordered, it follows the bit's expected |value
-// correction|: its place value times a monotone estimate of the flip
-// probability value/gap implies — U-shape aware through Config.gap,
+// bit). Unordered, the plan stays in (index, fraction bit k) order —
+// Algorithm 1's own read sequence. Ordered, it follows the bit's expected
+// |value correction|: its place value times a monotone estimate of the
+// flip probability value/gap implies — U-shape aware through Config.gap,
 // which grows with the pre-trained magnitude. Ties (and everything else)
 // break on (idx, k), so either plan is a pure, deterministic function of
 // (Config, base).
@@ -271,7 +275,7 @@ func planTensor(cfg Config, base []float32, ordered bool) []bitTask {
 			v := ieee754.FractionBitValue(b, k)
 			tasks = append(tasks, bitTask{
 				idx:   i,
-				k:     k,
+				bit:   ieee754.FractionBits - k,
 				value: v,
 				gap:   gap,
 				score: v * gap / (gap + 2*v),
@@ -289,8 +293,21 @@ func planTensor(cfg Config, base []float32, ordered bool) []bitTask {
 		if ta.idx != tb.idx {
 			return ta.idx < tb.idx
 		}
-		return ta.k < tb.k
+		return ta.bit > tb.bit // fraction bit k ascending
 	})
+	return tasks
+}
+
+// planFull is the plan of a tensor with no baseline to select against —
+// the head, which Algorithm 1 reads in full: every raw bit 0..31 of every
+// weight, in index order.
+func planFull(n int) []bitTask {
+	tasks := make([]bitTask, 0, 32*n)
+	for i := 0; i < n; i++ {
+		for bit := 0; bit < 32; bit++ {
+			tasks = append(tasks, bitTask{idx: i, bit: bit})
+		}
+	}
 	return tasks
 }
 

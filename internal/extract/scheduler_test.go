@@ -34,7 +34,7 @@ func TestPlanTensorMatchesAlgorithmOne(t *testing.T) {
 		plan := planTensor(cfg, base, true)
 		got := map[[2]int]bool{}
 		for _, task := range plan {
-			key := [2]int{task.idx, task.k}
+			key := [2]int{task.idx, ieee754.FractionBits - task.bit}
 			if got[key] {
 				t.Fatalf("%s: duplicate task %v", p.Name, key)
 			}
@@ -47,7 +47,7 @@ func TestPlanTensorMatchesAlgorithmOne(t *testing.T) {
 }
 
 // TestPlanTensorOrdering: descending score, deterministic tie-break on
-// (idx, k), and a pure function of (Config, base).
+// (idx, fraction bit k), and a pure function of (Config, base).
 func TestPlanTensorOrdering(t *testing.T) {
 	cfg := DefaultConfig()
 	pre, _ := smallPair()
@@ -61,7 +61,7 @@ func TestPlanTensorOrdering(t *testing.T) {
 		if a.score < b.score {
 			t.Fatalf("plan not in descending score order at %d: %v then %v", i, a.score, b.score)
 		}
-		if a.score == b.score && (a.idx > b.idx || (a.idx == b.idx && a.k >= b.k)) {
+		if a.score == b.score && (a.idx > b.idx || (a.idx == b.idx && a.bit <= b.bit)) {
 			t.Fatalf("tie at %d not broken by (idx, k): %+v then %+v", i, a, b)
 		}
 	}

@@ -6,11 +6,6 @@
 package traceimg
 
 import (
-	"fmt"
-	"image"
-	"image/color"
-	"image/png"
-	"io"
 	"math"
 	"strings"
 
@@ -31,9 +26,6 @@ func NewImage(size int) *Image {
 	}
 	return &Image{Size: size, Pix: make([]float32, size*size)}
 }
-
-// At returns the pixel at (x, y); y grows downward.
-func (im *Image) At(x, y int) float32 { return im.Pix[y*im.Size+x] }
 
 // YSpanUS is the fixed duration-axis span in µs; longer kernels clamp to
 // the top row. The y scale must be shared across plots (the paper renders
@@ -89,55 +81,6 @@ func Render(t *gpusim.Trace, size int) *Image {
 		}
 	}
 	return im
-}
-
-// ASCII renders the image as terminal art (one character per pixel,
-// darker glyphs for brighter pixels) — the quickest way to eyeball a
-// fingerprint.
-func (im *Image) ASCII() string {
-	const ramp = " .:-=+*#%@"
-	out := make([]byte, 0, (im.Size+1)*im.Size)
-	for y := 0; y < im.Size; y++ {
-		for x := 0; x < im.Size; x++ {
-			v := im.At(x, y)
-			idx := int(v * float32(len(ramp)-1))
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(ramp) {
-				idx = len(ramp) - 1
-			}
-			out = append(out, ramp[idx])
-		}
-		out = append(out, '\n')
-	}
-	return string(out)
-}
-
-// WriteCSV writes the trace as "index,name,start_us,end_us,duration_us"
-// rows for external analysis.
-func WriteCSV(t *gpusim.Trace, w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "index,name,start_us,end_us,duration_us"); err != nil {
-		return err
-	}
-	for i, e := range t.Execs {
-		if _, err := fmt.Fprintf(w, "%d,%s,%.3f,%.3f,%.3f\n", i, e.Name, e.Start, e.End, e.Duration()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WritePNG encodes the image as an 8-bit grayscale PNG — the same artifact
-// the paper feeds its CNN (Fig 11), for visual inspection.
-func (im *Image) WritePNG(w io.Writer) error {
-	g := image.NewGray(image.Rect(0, 0, im.Size, im.Size))
-	for y := 0; y < im.Size; y++ {
-		for x := 0; x < im.Size; x++ {
-			g.SetGray(x, y, color.Gray{Y: uint8(im.At(x, y) * 255)})
-		}
-	}
-	return png.Encode(w, g)
 }
 
 // StripMemcpy returns a copy of the trace without host↔device transfer

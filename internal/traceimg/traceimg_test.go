@@ -1,9 +1,6 @@
 package traceimg
 
 import (
-	"bytes"
-	"image/png"
-	"strings"
 	"testing"
 
 	"decepticon/internal/gpusim"
@@ -176,81 +173,6 @@ func TestResample(t *testing.T) {
 	one := resample([]float64{5}, 3)
 	if one[0] != 5 || one[1] != 5 || one[2] != 5 {
 		t.Fatalf("constant resample %v", one)
-	}
-}
-
-func TestASCIIRendering(t *testing.T) {
-	tr := trace("base", gpusim.Profile{Source: "hf", Framework: gpusim.PyTorch, Seed: 13}, gpusim.Options{})
-	art := Render(tr, 16).ASCII()
-	lines := 0
-	for _, c := range art {
-		if c == '\n' {
-			lines++
-		}
-	}
-	if lines != 16 {
-		t.Fatalf("ASCII art has %d lines, want 16", lines)
-	}
-	// Must contain both background and lit glyphs.
-	hasSpace, hasInk := false, false
-	for _, c := range art {
-		if c == ' ' {
-			hasSpace = true
-		} else if c != '\n' {
-			hasInk = true
-		}
-	}
-	if !hasSpace || !hasInk {
-		t.Fatal("ASCII art lacks contrast")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	tr := trace("tiny", gpusim.Profile{Source: "hf", Framework: gpusim.PyTorch, Seed: 14}, gpusim.Options{})
-	var buf strings.Builder
-	if err := WriteCSV(tr, &buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(tr.Execs)+1 {
-		t.Fatalf("CSV has %d lines, want %d", len(lines), len(tr.Execs)+1)
-	}
-	if !strings.HasPrefix(lines[0], "index,name,start_us") {
-		t.Fatalf("bad header %q", lines[0])
-	}
-	if !strings.Contains(lines[1], ",") {
-		t.Fatalf("bad row %q", lines[1])
-	}
-}
-
-func TestWritePNG(t *testing.T) {
-	tr := trace("tiny", gpusim.Profile{Source: "hf", Framework: gpusim.PyTorch, Seed: 15}, gpusim.Options{})
-	im := Render(tr, 32)
-	var buf bytes.Buffer
-	if err := im.WritePNG(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := png.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := decoded.Bounds()
-	if b.Dx() != 32 || b.Dy() != 32 {
-		t.Fatalf("decoded PNG is %dx%d", b.Dx(), b.Dy())
-	}
-	// Peak pixel survives the 8-bit quantization.
-	found := false
-	for y := 0; y < 32 && !found; y++ {
-		for x := 0; x < 32; x++ {
-			r, _, _, _ := decoded.At(x, y).RGBA()
-			if r >= 0xfafa {
-				found = true
-				break
-			}
-		}
-	}
-	if !found {
-		t.Fatal("PNG lost the normalized peak pixel")
 	}
 }
 
