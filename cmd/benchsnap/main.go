@@ -359,9 +359,8 @@ func substrateSnapshot() *snapshot {
 		}
 	})
 
-	// Zoo cold start: the monolithic cache decodes every tensor up front;
-	// the store reads a manifest and hands back lazy handles. The pair of
-	// gated ratios keeps the startup-latency win honest over time.
+	// Zoo cold start: a warm store open reads the manifest, verifies every
+	// object, and hands back lazy handles without decoding any tensor.
 	zcfg := zoo.SmallBuildConfig()
 	zcfg.NumPretrained = 4
 	zcfg.NumFineTuned = 8
@@ -369,26 +368,14 @@ func substrateSnapshot() *snapshot {
 	zcfg.PretrainEpochs = 1
 	zcfg.FineTuneExamples = 20
 	zcfg.FineTuneEpochs = 1
-	tmp, err := os.MkdirTemp("", "benchsnap-zoo-")
+	storeDir, err := os.MkdirTemp("", "benchsnap-zoo-")
 	if err != nil {
 		fatal(err)
 	}
-	defer os.RemoveAll(tmp)
-	cachePath := filepath.Join(tmp, "zoo.gob.gz")
-	if err := zoo.MustBuild(zcfg).SaveFile(cachePath); err != nil {
-		fatal(err)
-	}
-	storeDir := filepath.Join(tmp, "store")
+	defer os.RemoveAll(storeDir)
 	if _, _, err := zoo.BuildOrOpenStore(context.Background(), zcfg, storeDir, ""); err != nil {
 		fatal(err)
 	}
-	measure("zoo_cache_load", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := zoo.LoadFile(cachePath); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	measure("zoo_store_open", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := zoo.BuildOrOpenStore(context.Background(), zcfg, storeDir, ""); err != nil {

@@ -74,7 +74,7 @@ func run() error {
 	fs := flag.CommandLine
 	var opts cliconfig.Options
 	opts.RegisterCommon(fs)
-	opts.RegisterCache(fs)
+	opts.RegisterStore(fs)
 	opts.RegisterIdentify(fs)
 	addr := fs.String("addr", "localhost:8424", "campaign API listen address (use :0 for an ephemeral port; the bound address lands in <dir>/decepticond.addr)")
 	dir := fs.String("dir", "", "durable state directory: campaign specs, statuses, checkpoints, results (required)")

@@ -36,7 +36,7 @@ func main() {
 func run() (err error) {
 	var opts cliconfig.Options
 	opts.RegisterCommon(flag.CommandLine)
-	opts.RegisterCache(flag.CommandLine)
+	opts.RegisterStore(flag.CommandLine)
 	opts.RegisterFaults(flag.CommandLine)
 	opts.RegisterFlight(flag.CommandLine)
 	var (
@@ -71,7 +71,6 @@ func run() (err error) {
 
 	env := decepticon.NewExperiments(sc)
 	env.Ctx = rt.Ctx
-	env.CachePath = opts.Cache
 	env.StorePath = opts.Store
 	env.Workers = opts.Workers
 	env.Obs = rt.Registry

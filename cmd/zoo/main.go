@@ -30,7 +30,7 @@ func main() {
 func run() error {
 	var opts cliconfig.Options
 	opts.RegisterCommon(flag.CommandLine)
-	opts.RegisterCache(flag.CommandLine)
+	opts.RegisterStore(flag.CommandLine)
 	flag.Parse()
 
 	cfg, err := opts.ZooConfig()
@@ -55,7 +55,7 @@ func run() error {
 		if z == nil {
 			return err
 		}
-		log.Printf("zoo cache: %v", err)
+		log.Printf("zoo store: %v", err)
 	}
 
 	fmt.Printf("pre-trained releases (%d):\n", len(z.Pretrained))

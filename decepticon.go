@@ -202,33 +202,16 @@ func BuildZooContext(ctx context.Context, cfg ZooConfig) (*Zoo, error) {
 // TraceOnlyZooConfig) are always valid.
 func MustBuildZoo(cfg ZooConfig) *Zoo { return zoo.MustBuild(cfg) }
 
-// BuildOrLoadZoo loads the population from cachePath when present,
-// otherwise builds it and writes the cache. An empty cachePath always
-// builds. A non-nil error reports a cache problem; the returned zoo is
-// usable either way.
-func BuildOrLoadZoo(cfg ZooConfig, cachePath string) (*Zoo, error) {
-	return zoo.BuildOrLoad(cfg, cachePath)
-}
-
-// BuildOrLoadZooContext is BuildOrLoadZoo with cooperative cancellation
-// of the build phase (loading an existing cache is quick and never
-// cancelled). On cancellation the returned zoo is nil.
-func BuildOrLoadZooContext(ctx context.Context, cfg ZooConfig, cachePath string) (*Zoo, error) {
-	return zoo.BuildOrLoadContext(ctx, cfg, cachePath)
-}
-
 // ZooStoreStats reports what a store open did: how many models were
-// trained, reused from existing objects, or imported from a legacy cache.
+// trained and how many were reused from existing objects.
 type ZooStoreStats = zoo.StoreStats
 
 // BuildOrOpenZooStore materializes the population from a content-addressed
 // store directory: models whose configuration hash matches an existing
 // object are served as lazy handles (loaded on first use, releasable), and
-// only entries whose inputs changed are retrained. A non-empty legacyCache
-// naming a monolithic cache built with the same config seeds a fresh store
-// by import instead of retraining.
-func BuildOrOpenZooStore(ctx context.Context, cfg ZooConfig, dir, legacyCache string) (*Zoo, *ZooStoreStats, error) {
-	return zoo.BuildOrOpenStore(ctx, cfg, dir, legacyCache)
+// only entries whose inputs changed are retrained.
+func BuildOrOpenZooStore(ctx context.Context, cfg ZooConfig, dir string) (*Zoo, *ZooStoreStats, error) {
+	return zoo.BuildOrOpenStore(ctx, cfg, dir, "")
 }
 
 // DefaultPrepareConfig returns the standard level-1 training setup.

@@ -5,7 +5,7 @@ package decepticon_test
 
 import (
 	"bytes"
-	"path/filepath"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -55,21 +55,37 @@ func TestPublicEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPublicZooCache(t *testing.T) {
+// A second open of the same store trains nothing, reuses every model,
+// and returns the same population.
+func TestPublicZooStore(t *testing.T) {
 	cfg := decepticon.TraceOnlyZooConfig()
 	cfg.NumPretrained = 2
 	cfg.NumFineTuned = 2
-	path := filepath.Join(t.TempDir(), "zoo.gob.gz")
-	a, err := decepticon.BuildOrLoadZoo(cfg, path)
+	dir := t.TempDir()
+	a, cold, err := decepticon.BuildOrOpenZooStore(context.Background(), cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := decepticon.BuildOrLoadZoo(cfg, path)
+	total := cfg.NumPretrained + cfg.NumFineTuned
+	if cold.Trained() != total {
+		t.Fatalf("cold open trained %d models, want %d", cold.Trained(), total)
+	}
+	b, warm, err := decepticon.BuildOrOpenZooStore(context.Background(), cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Pretrained[0].Name != b.Pretrained[0].Name {
-		t.Fatal("cache round trip changed the population")
+	if warm.Trained() != 0 || warm.Reused != total {
+		t.Fatalf("warm open: trained %d, reused %d; want 0/%d", warm.Trained(), warm.Reused, total)
+	}
+	for i, p := range a.Pretrained {
+		if b.Pretrained[i].Name != p.Name {
+			t.Fatalf("pre-trained %d: warm open returned %s, want %s", i, b.Pretrained[i].Name, p.Name)
+		}
+	}
+	for i, f := range a.FineTuned {
+		if b.FineTuned[i].Name != f.Name {
+			t.Fatalf("fine-tuned %d: warm open returned %s, want %s", i, b.FineTuned[i].Name, f.Name)
+		}
 	}
 }
 

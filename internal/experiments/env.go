@@ -48,15 +48,10 @@ type Env struct {
 	// Progress, if non-nil, receives coarse progress lines.
 	Progress func(format string, args ...any)
 
-	// CachePath, when non-empty, loads the zoo from this file if present
-	// and writes it there after building — zoo construction dominates the
-	// cost of a full-scale run.
-	CachePath string
-
 	// StorePath, when non-empty, keeps the zoo in a content-addressed
-	// store at this directory instead — lazy handles, incremental
-	// rebuild (DESIGN.md §16). Takes precedence over CachePath; a
-	// legacy cache at CachePath is imported rather than retrained.
+	// store at this directory — lazy handles, incremental rebuild
+	// (DESIGN.md §16). Zoo construction dominates the cost of a
+	// full-scale run, so a rerun against the store skips it.
 	StorePath string
 
 	// Workers bounds the goroutines used for zoo construction, trace
@@ -148,9 +143,9 @@ func (e *Env) Zoo() *zoo.Zoo {
 		var z *zoo.Zoo
 		var err error
 		if e.StorePath != "" {
-			z, _, err = zoo.BuildOrOpenStore(e.ctx(), cfg, e.StorePath, e.CachePath)
+			z, _, err = zoo.BuildOrOpenStore(e.ctx(), cfg, e.StorePath, "")
 		} else {
-			z, err = zoo.BuildOrLoadContext(e.ctx(), cfg, e.CachePath)
+			z, err = zoo.BuildContext(e.ctx(), cfg)
 		}
 		if err != nil {
 			if z == nil {
@@ -160,8 +155,8 @@ func (e *Env) Zoo() *zoo.Zoo {
 				// recoverable input error.
 				panic(err)
 			}
-			// A cache problem alone leaves the freshly built zoo usable.
-			e.logf("zoo cache: %v", err)
+			// A failed manifest write leaves the opened zoo usable.
+			e.logf("zoo store: %v", err)
 		}
 		e.zoo = z
 	})

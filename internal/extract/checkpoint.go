@@ -6,8 +6,8 @@
 // tensor: Run saves after every completed tensor, so at most one
 // tensor's reads are in flight and none are ever re-paid.
 //
-// The format is gob (the same stdlib-only serialization the zoo cache
-// uses), written atomically: encode to a temp file in the target
+// The format is gob (the same stdlib-only serialization the zoo store's
+// objects use), written atomically: encode to a temp file in the target
 // directory, then rename over the destination, so a kill mid-write
 // leaves the previous checkpoint intact.
 package extract
@@ -61,7 +61,7 @@ type Checkpoint struct {
 }
 
 // writeCheckpoint atomically persists ck at path (fsatomic temp-file +
-// rename, the same discipline as the zoo cache and the service store).
+// rename, the same discipline as the zoo store and the service store).
 func writeCheckpoint(path string, ck *Checkpoint) error {
 	err := fsatomic.Write(path, func(w io.Writer) error {
 		return gob.NewEncoder(w).Encode(ck)

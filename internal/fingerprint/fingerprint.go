@@ -9,9 +9,7 @@ package fingerprint
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 
 	"decepticon/internal/gpusim"
@@ -146,13 +144,12 @@ type Classifier struct {
 	Classes []string
 	// Workers bounds the goroutines used for trace preprocessing and
 	// batch evaluation; <= 0 selects GOMAXPROCS. It is a runtime knob,
-	// not part of the model: Save/LoadClassifier do not persist it, and
-	// results are identical for any value.
+	// not part of the model: results are identical for any value.
 	Workers int
 	// Obs, when set, receives the level-1 accounting: train/eval wall
 	// time (fingerprint.train_seconds, fingerprint.eval_seconds) and CNN
 	// forward counts (fingerprint.forwards). Like Workers it is a runtime
-	// knob and is not persisted.
+	// knob.
 	Obs *obs.Registry
 	net *nn.Sequential
 }
@@ -418,47 +415,6 @@ func (b *CentroidBaseline) Accuracy(d *Dataset) float64 {
 		}
 	}
 	return float64(correct) / float64(len(d.Samples))
-}
-
-// classifierExport is the gob wire format of a trained classifier.
-type classifierExport struct {
-	ImgSize int
-	Classes []string
-	Tensors [][]float32
-}
-
-// Save writes the trained classifier to w. The architecture is a pure
-// function of (ImgSize, len(Classes)), so only the weights travel.
-func (c *Classifier) Save(w io.Writer) error {
-	exp := classifierExport{ImgSize: c.ImgSize, Classes: c.Classes}
-	for _, p := range c.net.Params() {
-		exp.Tensors = append(exp.Tensors, p.Data)
-	}
-	if err := gob.NewEncoder(w).Encode(exp); err != nil {
-		return fmt.Errorf("fingerprint: save: %w", err)
-	}
-	return nil
-}
-
-// LoadClassifier reads a classifier previously written by Save.
-func LoadClassifier(r io.Reader) (*Classifier, error) {
-	var exp classifierExport
-	if err := gob.NewDecoder(r).Decode(&exp); err != nil {
-		return nil, fmt.Errorf("fingerprint: load: %w", err)
-	}
-	c := NewClassifier(exp.ImgSize, exp.Classes, 0)
-	params := c.net.Params()
-	if len(params) != len(exp.Tensors) {
-		return nil, fmt.Errorf("fingerprint: load: %d tensors, want %d", len(exp.Tensors), len(params))
-	}
-	for i, p := range params {
-		if len(exp.Tensors[i]) != len(p.Data) {
-			return nil, fmt.Errorf("fingerprint: load: tensor %d has %d values, want %d",
-				i, len(exp.Tensors[i]), len(p.Data))
-		}
-		copy(p.Data, exp.Tensors[i])
-	}
-	return c, nil
 }
 
 // ConfusionPairs returns the distinct (true, predicted) class-name pairs of

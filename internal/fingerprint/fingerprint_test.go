@@ -1,7 +1,6 @@
 package fingerprint
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"sync"
@@ -255,32 +254,5 @@ func TestXLATraceClassifiable(t *testing.T) {
 	name := clf.Predict(xla.Trace(gpusim.Options{}))
 	if name == "" {
 		t.Fatal("empty prediction")
-	}
-}
-
-func TestClassifierSaveLoadRoundTrip(t *testing.T) {
-	clf, _, test := getTrained(t)
-	var buf bytes.Buffer
-	if err := clf.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadClassifier(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Restored classifier predicts identically on every test trace — not
-	// just the top-1 label but the whole ranked top-k.
-	for _, s := range test.Samples {
-		if got.Predict(s.Trace) != clf.Predict(s.Trace) {
-			t.Fatal("restored classifier predicts differently")
-		}
-		want := clf.PredictTopK(s.Trace, 3)
-		have := got.PredictTopK(s.Trace, 3)
-		if !reflect.DeepEqual(want, have) {
-			t.Fatalf("restored top-k %v, want %v", have, want)
-		}
-	}
-	if _, err := LoadClassifier(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("junk must not load")
 	}
 }

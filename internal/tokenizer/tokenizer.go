@@ -178,23 +178,6 @@ func (v *Vocab) Overlap(o *Vocab) float64 {
 	return float64(n) / float64(len(v.list))
 }
 
-// Restore rebuilds a vocabulary from its word list in id order — the
-// inverse of Words(), used by zoo serialization.
-func Restore(name, language string, cased bool, words []string) *Vocab {
-	v := &Vocab{
-		Name:     name,
-		Language: language,
-		Cased:    cased,
-		Size:     len(words) + ReservedTokens,
-		words:    make(map[string]int, len(words)),
-		list:     append([]string(nil), words...),
-	}
-	for i, w := range v.list {
-		v.words[w] = i + ReservedTokens
-	}
-	return v
-}
-
 // SortedWords returns a sorted copy of the word list (for stable output).
 func (v *Vocab) SortedWords() []string {
 	out := append([]string(nil), v.list...)

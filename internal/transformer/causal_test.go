@@ -146,24 +146,43 @@ func TestCausalModelTrains(t *testing.T) {
 	}
 }
 
+// Save/Load round-trips a model exactly: the causal flag, the
+// head-pruning masks, and the logits all survive. Every zoo store object
+// goes through this path.
 func TestCausalSerializationRoundTrip(t *testing.T) {
-	m := New(causalConfig(), 25)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
+	pruned := New(testConfig(), 26)
+	pruned.PruneHeads(1, 0)
+	cases := []struct {
+		name   string
+		m      *Model
+		pruned int
+	}{
+		{"causal", New(causalConfig(), 25), 0},
+		{"encoder with a pruned head", pruned, 1},
 	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Causal {
-		t.Fatal("Causal flag lost in serialization")
-	}
-	tokens := []int{1, 2, 3}
-	a, b := m.Logits(tokens), got.Logits(tokens)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("restored causal model differs")
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tc.m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Causal != tc.m.Causal {
+				t.Fatalf("Causal flag %v after round trip, want %v", got.Causal, tc.m.Causal)
+			}
+			if n := got.PrunedHeadCount(); n != tc.pruned {
+				t.Fatalf("%d pruned heads after round trip, want %d", n, tc.pruned)
+			}
+			tokens := []int{1, 2, 3}
+			a, b := tc.m.Logits(tokens), got.Logits(tokens)
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatal("restored model's logits differ")
+				}
+			}
+		})
 	}
 }

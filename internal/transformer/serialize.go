@@ -18,10 +18,10 @@ type tensorExport struct {
 //
 // Save writes TensorList (sorted by name) so the byte stream is
 // deterministic — gob encodes maps in random iteration order, which would
-// make every saved artifact (zoo cache, store object) hash differently
-// per run. Load still accepts the legacy Tensors map, so files written by
-// older binaries keep loading: gob fills whichever field the stream
-// carries and leaves the other empty.
+// make every zoo store object hash differently per run. Load still
+// accepts the legacy Tensors map, so files written by older binaries keep
+// loading: gob fills whichever field the stream carries and leaves the
+// other empty.
 type modelExport struct {
 	Config     Config
 	Tensors    map[string][]float32 // legacy streams only

@@ -19,9 +19,10 @@ import (
 	"decepticon/internal/transformer"
 )
 
-// The content-addressed zoo store: one object file per model plus a
-// manifest, replacing the monolithic cache for populations too large to
-// rebuild (or even hold) wholesale.
+// The content-addressed zoo store, the population's only on-disk form:
+// one object file per model plus a manifest, so a population too large
+// to rebuild (or even hold) wholesale opens lazily and grows
+// incrementally.
 //
 // Layout:
 //
@@ -65,19 +66,54 @@ type manifest struct {
 	Version int `json:"version"`
 	// Config records the build that last wrote the store — provenance
 	// only; reuse decisions run entirely on per-entry keys.
-	Config  cacheConfig     `json:"config"`
+	Config  manifestConfig  `json:"config"`
 	Entries []manifestEntry `json:"entries"`
 }
 
+// manifestConfig is the population-determining subset of BuildConfig.
+// Workers, Obs, and OnProgress are deliberately absent: they change
+// throughput and instrumentation, never the built population (the
+// worker-count invariance pinned by the zoo tests). The fields carry no
+// JSON tags, so their names are the manifest's keys.
+type manifestConfig struct {
+	NumPretrained    int
+	NumFineTuned     int
+	PretrainExamples int
+	PretrainEpochs   int
+	FineTuneExamples int
+	FineTuneEpochs   int
+	FineTuneLR       float64
+	FineTuneHeadLR   float64
+	FineTuneDecay    float64
+	Seed             uint64
+	ArchFilter       []string
+}
+
+// manifestConfigOf projects a BuildConfig onto its population-determining
+// fields.
+func manifestConfigOf(cfg BuildConfig) manifestConfig {
+	return manifestConfig{
+		NumPretrained:    cfg.NumPretrained,
+		NumFineTuned:     cfg.NumFineTuned,
+		PretrainExamples: cfg.PretrainExamples,
+		PretrainEpochs:   cfg.PretrainEpochs,
+		FineTuneExamples: cfg.FineTuneExamples,
+		FineTuneEpochs:   cfg.FineTuneEpochs,
+		FineTuneLR:       cfg.FineTuneLR,
+		FineTuneHeadLR:   cfg.FineTuneHeadLR,
+		FineTuneDecay:    cfg.FineTuneDecay,
+		Seed:             cfg.Seed,
+		ArchFilter:       cfg.ArchFilter,
+	}
+}
+
 // StoreStats reports what BuildOrOpenStore did: how much of the desired
-// population was reused from disk, imported from a legacy cache, or
-// retrained. Reused+Imported+PretrainedTrained+FineTunedTrained equals
-// the population size.
+// population was reused from disk or retrained.
+// Reused+PretrainedTrained+FineTunedTrained equals the population size.
 type StoreStats struct {
 	PretrainedTrained int
 	FineTunedTrained  int
 	Reused            int
-	Imported          int
 }
 
 // Trained is the total number of models trained this open.
@@ -189,7 +225,7 @@ func verifyObject(dir string, me manifestEntry) ([]byte, error) {
 		return nil, err
 	}
 	if got := hashBytes(data); got != me.SHA256 {
-		return nil, fmt.Errorf("object %s: sha256 %s, manifest says %s", me.Object, got[:8], me.SHA256[:8])
+		return nil, fmt.Errorf("object %s: sha256 %s, manifest says %q", me.Object, got[:8], me.SHA256)
 	}
 	return data, nil
 }
@@ -230,11 +266,9 @@ type desiredEntry struct {
 // the entries whose keys moved. Corrupt or missing objects are logged
 // and retrained, never trusted.
 //
-// legacyCache, when non-empty and the store has no manifest yet, names a
-// monolithic cache file to import: models whose recorded config matches
-// cfg are re-encoded as store objects instead of retrained (the
-// migration path off the old format).
-func BuildOrOpenStore(ctx context.Context, cfg BuildConfig, dir, legacyCache string) (*Zoo, *StoreStats, error) {
+// The unnamed last parameter is unused; it stays because the e2ebench
+// module, which builds against this package, still passes it.
+func BuildOrOpenStore(ctx context.Context, cfg BuildConfig, dir, _ string) (*Zoo, *StoreStats, error) {
 	defer cfg.Obs.StartSpan("zoo.store_open_seconds").End()
 	if cfg.NumPretrained <= 0 || cfg.NumFineTuned <= 0 {
 		return nil, nil, fmt.Errorf("zoo: empty build configuration (%d pretrained, %d fine-tuned); use DefaultBuildConfig",
@@ -252,28 +286,6 @@ func BuildOrOpenStore(ctx context.Context, cfg BuildConfig, dir, legacyCache str
 	byKey := make(map[string]manifestEntry, len(man.Entries))
 	for _, me := range man.Entries {
 		byKey[me.Key] = me
-	}
-
-	// A fresh store may import a compatible monolithic cache instead of
-	// retraining: same config ⇒ identical weights (the determinism
-	// contract), so re-encoding the cache's models as objects is safe.
-	var imported map[string]*transformer.Model
-	if legacyCache != "" && len(man.Entries) == 0 {
-		if legacy, _, err := loadFileVersion(legacyCache); err == nil &&
-			configKey(legacy.Config).equal(configKey(cfg)) {
-			imported = make(map[string]*transformer.Model, len(legacy.Pretrained)+len(legacy.FineTuned))
-			for _, p := range legacy.Pretrained {
-				imported[p.Name] = p.Model()
-			}
-			for _, f := range legacy.FineTuned {
-				imported[f.Name] = f.Model()
-			}
-			log.Info("importing monolithic zoo cache into store",
-				"cache", legacyCache, "dir", dir, "models", len(imported))
-		} else if err != nil && !os.IsNotExist(err) {
-			log.Warn("legacy zoo cache unreadable; building store from scratch",
-				"cache", legacyCache, "err", err)
-		}
 	}
 
 	// Desired population, in order: pre-trained (catalog order), then
@@ -304,9 +316,9 @@ func BuildOrOpenStore(ctx context.Context, cfg BuildConfig, dir, legacyCache str
 		})
 	}
 
-	// Partition into reuse (key matches + object verifies), import, and
-	// retrain. Verification reads every reused object once at open — the
-	// price of never serving a corrupt store silently.
+	// Partition into reuse (key matches + object verifies) and retrain.
+	// Verification reads every reused object once at open — the price of
+	// never serving a corrupt store silently.
 	stats := &StoreStats{}
 	newEntries := make([]manifestEntry, len(desired))
 	needTrain := make([]bool, len(desired))
@@ -320,20 +332,6 @@ func BuildOrOpenStore(ctx context.Context, cfg BuildConfig, dir, legacyCache str
 				log.Warn("zoo store object corrupt or missing; retraining entry",
 					"name", d.name, "object", me.Object, "err", err)
 			}
-		}
-		if m, ok := imported[d.name]; ok {
-			data, err := encodeObject(m)
-			if err != nil {
-				return nil, nil, fmt.Errorf("zoo: store import %s: %w", d.name, err)
-			}
-			me := manifestEntry{Name: d.name, Kind: d.kind, Key: d.key,
-				Object: objectName(d.name, d.key), SHA256: hashBytes(data)}
-			if err := fsatomic.WriteFile(filepath.Join(dir, "objects", me.Object), data); err != nil {
-				return nil, nil, fmt.Errorf("zoo: store import %s: %w", d.name, err)
-			}
-			newEntries[i] = me
-			stats.Imported++
-			continue
 		}
 		needTrain[i] = true
 	}
@@ -353,7 +351,7 @@ func BuildOrOpenStore(ctx context.Context, cfg BuildConfig, dir, legacyCache str
 		}
 	}
 	log.Info("zoo store open", "dir", dir,
-		"reused", stats.Reused, "imported", stats.Imported, "retrain", toTrain)
+		"reused", stats.Reused, "retrain", toTrain)
 
 	preTrained, err := parallel.MapErrCtx(ctx, cfg.NumPretrained, cfg.Workers, func(ctx context.Context, i int) (*Pretrained, error) {
 		if !needTrain[i] {
@@ -442,7 +440,7 @@ func BuildOrOpenStore(ctx context.Context, cfg BuildConfig, dir, legacyCache str
 	// Manifest last: a crash before this line leaves the old manifest
 	// (next open retrains what this one did), never a store that claims
 	// objects it does not have.
-	man = &manifest{Version: storeVersion, Config: configKey(cfg), Entries: newEntries}
+	man = &manifest{Version: storeVersion, Config: manifestConfigOf(cfg), Entries: newEntries}
 	if err := writeManifest(dir, man); err != nil {
 		return z, stats, fmt.Errorf("zoo: store manifest write: %w", err)
 	}
@@ -451,11 +449,10 @@ func BuildOrOpenStore(ctx context.Context, cfg BuildConfig, dir, legacyCache str
 	cfg.Obs.Counter("zoo.models_pretrained").Add(int64(stats.PretrainedTrained))
 	cfg.Obs.Counter("zoo.models_finetuned").Add(int64(stats.FineTunedTrained))
 	cfg.Obs.Counter("zoo.models_reused").Add(int64(stats.Reused))
-	cfg.Obs.Counter("zoo.models_imported").Add(int64(stats.Imported))
 	log.Info("zoo store ready", "dir", dir,
 		"pretrained_trained", stats.PretrainedTrained,
 		"finetuned_trained", stats.FineTunedTrained,
-		"reused", stats.Reused, "imported", stats.Imported)
+		"reused", stats.Reused)
 	return z, stats, nil
 }
 

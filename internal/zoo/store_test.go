@@ -29,7 +29,7 @@ func openStore(t *testing.T, cfg BuildConfig, dir string) (*Zoo, *StoreStats) {
 	return z, stats
 }
 
-// A store-grown population must be byte-identical to a monolithic build
+// A store-grown population must be byte-identical to an in-memory build
 // of the same config — the determinism contract that makes single-entry
 // retraining safe.
 func TestStoreMatchesFullBuild(t *testing.T) {
@@ -128,36 +128,51 @@ func TestStoreIncrementalGrowth(t *testing.T) {
 	sameWeights(t, "grown victim", zb.FineTuned[cfg.NumFineTuned].Model(), z.FineTuned[cfg.NumFineTuned].Model())
 }
 
-// A corrupt (or deleted) object must be detected at open, logged, and
-// retrained — alone.
+// A damaged object must be detected at open, logged, and retrained —
+// alone. Each case damages the first fine-tuned object of the store the
+// previous reopen repaired.
 func TestStoreRetrainsCorruptObject(t *testing.T) {
+	cases := []struct {
+		name   string
+		damage func(dir, obj string) error
+	}{
+		{"corrupt object", func(_, obj string) error {
+			return os.WriteFile(obj, []byte("bitrot"), 0o644)
+		}},
+		{"missing object", func(_, obj string) error { return os.Remove(obj) }},
+		// The manifest is durable input: a recorded hash of any length
+		// must give a mismatch, never a panic.
+		{"truncated manifest sha256", func(dir, obj string) error {
+			m, err := readManifest(dir)
+			if err != nil {
+				return err
+			}
+			for i := range m.Entries {
+				if m.Entries[i].Object == filepath.Base(obj) {
+					m.Entries[i].SHA256 = "ab"
+				}
+			}
+			return writeManifest(dir, m)
+		}},
+	}
 	cfg := storeCfg()
 	dir := t.TempDir()
 	z1, _ := openStore(t, cfg, dir)
-
-	// Corrupt one fine-tuned object on disk.
 	objs, err := filepath.Glob(filepath.Join(dir, "objects", "*__ft-*"))
 	if err != nil || len(objs) == 0 {
 		t.Fatalf("no fine-tuned objects found: %v", err)
 	}
-	if err := os.WriteFile(objs[0], []byte("bitrot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	z2, stats := openStore(t, cfg, dir)
-	if stats.Trained() != 1 {
-		t.Fatalf("corrupt object: retrained %d models, want exactly 1", stats.Trained())
-	}
-	for i := range z1.FineTuned {
-		sameWeights(t, z1.FineTuned[i].Name, z1.FineTuned[i].Model(), z2.FineTuned[i].Model())
-	}
-
-	// Deleting an object behaves the same.
-	if err := os.Remove(objs[0]); err != nil {
-		t.Fatal(err)
-	}
-	_, stats = openStore(t, cfg, dir)
-	if stats.Trained() != 1 {
-		t.Fatalf("missing object: retrained %d models, want exactly 1", stats.Trained())
+	for _, tc := range cases {
+		if err := tc.damage(dir, objs[0]); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		z2, stats := openStore(t, cfg, dir)
+		if stats.Trained() != 1 {
+			t.Fatalf("%s: retrained %d models, want exactly 1", tc.name, stats.Trained())
+		}
+		for i := range z1.FineTuned {
+			sameWeights(t, z1.FineTuned[i].Name, z1.FineTuned[i].Model(), z2.FineTuned[i].Model())
+		}
 	}
 }
 
@@ -175,49 +190,6 @@ func TestStoreKnobChangeCascades(t *testing.T) {
 	if stats.PretrainedTrained != 0 || stats.FineTunedTrained != cfg.NumFineTuned {
 		t.Fatalf("finetune knob change: trained %d+%d, want 0+%d",
 			stats.PretrainedTrained, stats.FineTunedTrained, cfg.NumFineTuned)
-	}
-}
-
-// Migration: a fresh store next to a matching monolithic cache imports
-// the cache's models instead of retraining them.
-func TestStoreImportsLegacyCache(t *testing.T) {
-	cfg := storeCfg()
-	tmp := t.TempDir()
-	cache := filepath.Join(tmp, "zoo.gob.gz")
-	zb, err := BuildOrLoad(cfg, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := filepath.Join(tmp, "store")
-	z, stats, err := BuildOrOpenStore(context.Background(), cfg, dir, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := cfg.NumPretrained + cfg.NumFineTuned
-	if stats.Imported != total || stats.Trained() != 0 {
-		t.Fatalf("import: imported %d, trained %d; want %d/0", stats.Imported, stats.Trained(), total)
-	}
-	for i := range zb.FineTuned {
-		sameWeights(t, zb.FineTuned[i].Name, zb.FineTuned[i].Model(), z.FineTuned[i].Model())
-	}
-	// The store is now self-sufficient: a warm open without the cache
-	// reuses everything.
-	_, stats = openStore(t, cfg, dir)
-	if stats.Reused != total {
-		t.Fatalf("post-import open reused %d, want %d", stats.Reused, total)
-	}
-
-	// A cache built for a different config must NOT be imported.
-	other := cfg
-	other.Seed = cfg.Seed + 1
-	dir2 := filepath.Join(tmp, "store2")
-	_, stats, err = BuildOrOpenStore(context.Background(), other, dir2, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Imported != 0 || stats.Trained() != total {
-		t.Fatalf("mismatched cache: imported %d, trained %d; want 0/%d", stats.Imported, stats.Trained(), total)
 	}
 }
 
@@ -256,7 +228,7 @@ func TestStoreGCsOrphanObjects(t *testing.T) {
 	}
 }
 
-// The store build is worker-count invariant, like the monolithic build:
+// The store build is worker-count invariant, like the in-memory build:
 // any parallelism writes byte-identical manifests and objects.
 func TestStoreWorkerCountInvariance(t *testing.T) {
 	cfg := storeCfg()

@@ -16,8 +16,8 @@ import (
 )
 
 // Pretrained is one pre-trained model release. The tensors live behind a
-// handle: resident when the model was just trained or decoded from the
-// monolithic cache, lazy when it is backed by a zoo-store object file.
+// handle: resident when the model was just trained, lazy when it is
+// backed by a zoo-store object file.
 // Everything else (architecture, vocabulary, execution profile) is always
 // in memory — identification-side code never needs to touch the weights.
 type Pretrained struct {
@@ -107,10 +107,8 @@ func (f *FineTuned) ClassifyText(text string) (label int, probs []float32) {
 type Zoo struct {
 	Pretrained []*Pretrained
 	FineTuned  []*FineTuned
-	// Config is the build configuration that produced this population
-	// (instrumentation fields zeroed on a cache round-trip). Save embeds
-	// its population-determining fields in the cache file so BuildOrLoad
-	// can refuse to serve a cache built for a different configuration.
+	// Config is the build configuration that produced this population,
+	// with the instrumentation hooks (Obs, OnProgress) cleared.
 	Config BuildConfig
 
 	// Name lookups are hot in service victim resolution (every campaign

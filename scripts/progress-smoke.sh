@@ -23,14 +23,14 @@ $GO build -o "$DIR/decepticond" ./cmd/decepticond
 $GO build -o "$DIR/campaignload" ./cmd/campaignload
 $GO build -o "$DIR/metricscheck" ./cmd/metricscheck
 $GO build -o "$DIR/decepticontop" ./cmd/decepticontop
-$GO run ./cmd/zoo -scale tiny -cache "$DIR/zoo" >/dev/null
+$GO run ./cmd/zoo -scale tiny -store "$DIR/zoo" >/dev/null
 
 DPID=""
 start_daemon() { # $1 = state dir, rest = extra flags
   state="$1"; shift
   mkdir -p "$state"
   rm -f "$state/decepticond.addr"
-  "$DIR/decepticond" -scale tiny -cache "$DIR/zoo" -dir "$state" \
+  "$DIR/decepticond" -scale tiny -store "$DIR/zoo" -dir "$state" \
     -addr localhost:0 "$@" &
   DPID=$!
   i=0
