@@ -217,11 +217,13 @@ race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/service
 
 # Fuzz tier: every decoder of durable state or user input must return an
-# error on arbitrary bytes, never panic. go test -fuzz takes one target
+# error on arbitrary bytes, never panic, and Algorithm 1's closed-form bit
+# selector must agree with its reference loop. go test -fuzz takes one target
 # per run, each at a fixed budget; a failing input lands in the package's
 # testdata/fuzz directory, where the plain test run replays it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResumeCheckpoint$$' -fuzztime 20s ./internal/extract
+	$(GO) test -run '^$$' -fuzz '^FuzzSelectBits$$' -fuzztime 20s ./internal/extract
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModalities$$' -fuzztime 20s ./internal/fingerprint
 
 bench:

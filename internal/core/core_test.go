@@ -151,29 +151,37 @@ func TestReportFields(t *testing.T) {
 	}
 }
 
-// The Evaluate stage derives its five scores from one Predictions pass
-// per model; each must equal the models' own scoring methods.
+// The Evaluate stage derives its five scores from one prediction vector
+// per model, the last stop check's or its own Predictions pass; each must
+// equal the models' own scoring methods.
 func TestEvaluateScoresMatchModelMethods(t *testing.T) {
 	atk, z := getAttack(t)
+	dir := t.TempDir()
 	checked := 0
 	for _, victim := range z.FineTuned[:4] {
-		rep, err := atk.Run(victim, RunOptions{MeasureSeed: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Clone == nil {
-			continue
-		}
-		checked++
-		vm, dev := victim.Model(), victim.Dev
-		want := [5]float64{
-			stats.MatchRate(vm.Predictions(dev), rep.Clone.Predictions(dev)),
-			vm.Evaluate(dev), rep.Clone.Evaluate(dev),
-			vm.EvaluateF1(dev), rep.Clone.EvaluateF1(dev),
-		}
-		got := [5]float64{rep.MatchRate, rep.VictimAcc, rep.CloneAcc, rep.VictimF1, rep.CloneF1}
-		if got != want {
-			t.Fatalf("%s: match/acc/acc/F1/F1 = %v, model methods say %v", victim.Name, got, want)
+		// The first run scores with its last stop check's vectors; resuming
+		// its completed checkpoint runs no check, so Evaluate makes its own
+		// two passes.
+		for _, resume := range []bool{false, true} {
+			rep, err := atk.Run(victim, RunOptions{MeasureSeed: 6, CheckpointDir: dir, Resume: resume})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Clone == nil {
+				continue
+			}
+			checked++
+			vm, dev := victim.Model(), victim.Dev
+			want := [5]float64{
+				stats.MatchRate(vm.Predictions(dev), rep.Clone.Predictions(dev)),
+				vm.Evaluate(dev), rep.Clone.Evaluate(dev),
+				vm.EvaluateF1(dev), rep.Clone.EvaluateF1(dev),
+			}
+			got := [5]float64{rep.MatchRate, rep.VictimAcc, rep.CloneAcc, rep.VictimF1, rep.CloneF1}
+			if got != want {
+				t.Fatalf("%s (resume %v): match/acc/acc/F1/F1 = %v, model methods say %v",
+					victim.Name, resume, got, want)
+			}
 		}
 	}
 	if checked == 0 {

@@ -58,6 +58,9 @@ type attackRun struct {
 	identifyTrace *obs.TraceSpan
 	identifyStart int64
 	clone         *transformer.Model
+	// scores are the victim's and the clone's dev-set predictions from
+	// extraction's last stop check, nil when no check scored the clone.
+	scores [2][]int
 }
 
 // Disambiguate separates profile-ambiguous candidates with query-output
@@ -205,6 +208,7 @@ func (r *attackRun) Extract(s *pipeline.State) error {
 	r.rep.Extract = st
 	r.rep.Clone = clone
 	r.clone = clone
+	r.scores[0], r.scores[1] = ex.Scores()
 	if st.TensorsDegraded > 0 {
 		// Fault-budget exhaustion: the run completed, but some tensors
 		// fell back to the baseline — leave the black-box record of how.
@@ -219,16 +223,21 @@ func (r *attackRun) Evaluate(s *pipeline.State) error {
 	r.prog.SetStage("evaluate")
 	evalSpan := r.a.Obs.StartSpan("core.phase.evaluate_seconds")
 	evalTrace := r.tk.Begin("evaluate")
-	// One pass over the dev set per model; every score derives from the
-	// two prediction vectors.
+	// Every score derives from one prediction vector per model. Extraction
+	// stops on the dev set, so its last stop check usually holds both;
+	// otherwise each model makes one pass.
 	vm, dev := r.victim.Model(), r.victim.Dev
-	vp, cp, truth := vm.Predictions(dev), r.clone.Predictions(dev), transformer.Labels(dev)
+	vp, cp, truth := r.scores[0], r.scores[1], transformer.Labels(dev)
+	if cp == nil {
+		vp, cp = vm.Predictions(dev), r.clone.Predictions(dev)
+	}
 	r.rep.MatchRate = stats.MatchRate(vp, cp)
 	r.rep.VictimAcc = stats.Accuracy(vp, truth)
 	r.rep.CloneAcc = stats.Accuracy(cp, truth)
 	r.rep.VictimF1 = stats.MacroF1(vp, truth, vm.Labels)
 	r.rep.CloneF1 = stats.MacroF1(cp, truth, r.clone.Labels)
-	// The two passes are a deterministic work unit for the lane clock.
+	// The two vectors are a deterministic work unit for the lane clock,
+	// wherever they were computed.
 	d := int64(2 * len(dev))
 	r.tk.Advance(d)
 	s.Clock.Advance(d)

@@ -259,12 +259,8 @@ func (c Config) selectBits(base float32) (sel uint32, gap float64) {
 	if !isFinite(base) {
 		return 0, 0
 	}
-	absBase := base
-	if absBase < 0 {
-		absBase = -absBase
-	}
 	// Step 1: near-zero pre-trained weights are copied unread.
-	if float64(absBase) < c.SkipThreshold {
+	if math.Abs(float64(base)) < c.SkipThreshold {
 		return 0, 0
 	}
 	gap = c.gap(base)
@@ -278,15 +274,30 @@ func (c Config) selectBits(base float32) (sel uint32, gap float64) {
 	// int_base+fr_base ∈ [min,max] test, but that test only works for
 	// weights in the lower half of their binade; the place-value bracket
 	// is the example's intent and covers every weight.)
-	n := 0
-	for k := 1; k <= ieee754.FractionBits && n < c.MaxBitsPerWeight; k++ {
-		if ieee754.FractionBitValue(absBase, k) > gap {
-			continue
-		}
-		sel |= 1 << k
-		n++
+	first, n := gapBits(ieee754.UnbiasedExponent(base), ieee754.FractionBits, gap, c.MaxBitsPerWeight)
+	return (1<<n - 1) << first, gap
+}
+
+// gapBits is Step 2's place-value bracket in closed form, for any float
+// format: of a value with unbiased exponent exp and fracBits fraction
+// bits, the limit most significant fraction bits k (MSB-first) whose
+// place value 2^(exp−k) is at most gap. They are the n bits first,
+// first+1, …, first+n−1.
+//
+// With gap = f·2^g (math.Frexp, f ∈ [½, 1)), 2^(exp−k) ≤ gap exactly when
+// k ≥ exp−g+1, so the run starts at max(1, exp−g+1). No place value
+// exceeds a NaN or +Inf gap, so that run starts at k = 1; every one
+// exceeds a gap ≤ 0, so that run is empty.
+func gapBits(exp, fracBits int, gap float64, limit int) (first, n int) {
+	first = 1
+	switch {
+	case limit <= 0 || gap <= 0:
+		return first, 0
+	case !math.IsNaN(gap) && !math.IsInf(gap, 1):
+		_, g := math.Frexp(gap)
+		first = max(first, exp-g+1)
 	}
-	return sel, gap
+	return first, max(0, min(limit, fracBits-first+1))
 }
 
 // Stats accumulates the efficiency and correctness accounting of Fig 16
@@ -522,6 +533,21 @@ type Extractor struct {
 	// resumed run ratchets through exactly the values an uninterrupted
 	// run reports (nil-safe; see obs.ProgressTracker).
 	Progress *obs.ItemProgress
+
+	// scores holds the victim's and the clone's predictions from the stop
+	// check that scored the clone the last RunContext returned (Scores).
+	scores [2][]int
+}
+
+// Scores returns the victim's and the returned clone's predictions on the
+// validation inputs, as the last successful RunContext's final stop check
+// computed them: the victim's are Victim's answers, the clone's equal
+// clone.Predictions(validation). Both are nil when no check scored that
+// clone — a resumed completed checkpoint, a resume whose checkpoint had
+// finished every schedule entry, a nil Victim or an empty validation set
+// — and after a failed or interrupted run.
+func (e *Extractor) Scores() (victim, clone []int) {
+	return e.scores[0], e.scores[1]
 }
 
 // run is one RunContext call's state: the clone and its tensors, the
@@ -537,6 +563,7 @@ type run struct {
 	numLabels   int
 	validation  []transformer.Example
 	victimPreds []int
+	clonePreds  []int // the last stop check's, nil before the first
 
 	clone  *transformer.Model
 	params map[string][]float32 // the clone's tensors by name
@@ -710,6 +737,7 @@ func (e *Extractor) Run(numLabels int, validation []transformer.Example) (*trans
 // Stats, and obs counters of an uninterrupted run byte-identically.
 func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []transformer.Example) (*transformer.Model, *Stats, error) {
 	defer e.Obs.StartSpan("extract.run_seconds").End()
+	e.scores = [2][]int{}
 	r, err := e.newRun(ctx, numLabels, validation)
 	if err != nil {
 		return nil, nil, err
@@ -765,6 +793,10 @@ func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []
 		return nil, nil, err
 	}
 	r.publish()
+	if r.clonePreds != nil {
+		// The loop's last stop check scored the clone as returned.
+		e.scores = [2][]int{r.victimPreds, r.clonePreds}
+	}
 	return r.clone, r.stats, nil
 }
 
@@ -798,9 +830,11 @@ func (e *Extractor) newRun(ctx context.Context, numLabels int, validation []tran
 		log:            e.Obs.Log(),
 	}
 
-	// The clone starts as the pre-trained backbone with a fresh head of
-	// the observed width.
-	r.clone = transformer.New(e.Pre.Config.WithLabels(numLabels), 0)
+	// The clone starts as the pre-trained backbone with a head of the
+	// observed width. Its weights are not sampled: the copies overwrite
+	// the backbone, the head's plan starts from a zero baseline, and a
+	// resume overwrites the tensors it restores.
+	r.clone = transformer.NewWithInit(e.Pre.Config.WithLabels(numLabels), 0, transformer.Init{})
 	r.clone.CopyEmbeddingsFrom(e.Pre)
 	for l := range e.Pre.Blocks {
 		r.clone.CopyBlockFrom(e.Pre, l)
@@ -967,8 +1001,9 @@ func (r *run) stopped() bool {
 		return false
 	}
 	r.stats.CloneForwards += int64(len(r.validation))
+	r.clonePreds = r.clone.Predictions(r.validation)
 	n := 0
-	for i, pred := range r.clone.Predictions(r.validation) {
+	for i, pred := range r.clonePreds {
 		if pred == r.victimPreds[i] {
 			n++
 		}
@@ -1077,7 +1112,7 @@ func (r *run) extractTensor(p transformer.NamedParam) error {
 	base := r.pre[p.Name]
 	st.WeightsTotal += len(base)
 	st.BitsTotal += 32 * int64(len(base))
-	masks, err := r.readPlan(p.Name, base, dst, planTensor(cfg, base, cfg.Schedule.Enabled), r.sched, &st.BitsChecked)
+	masks, err := r.readPlan(p.Name, base, dst, planTensor(cfg, base, r.unitsOf[p.Name], cfg.Schedule.Enabled), r.sched, &st.BitsChecked)
 	if err != nil {
 		return err
 	}
@@ -1215,18 +1250,19 @@ type weightBits struct {
 // degradeTail records a tensor-level fault that ended a tensor's reads:
 // every still-planned bit stays at the baseline and its weight counts as
 // degraded, while the bits already read are kept. The flight recorder and
-// the log note where the unread tail begins.
+// the log note the first weight left unread and how many were.
 func (r *run) degradeTail(name string, rest []bitTask, masks []weightBits) {
 	unread := make(map[int]bool)
+	from := len(masks)
 	for _, t := range rest {
 		unread[t.idx] = true
 		masks[t.idx].lost |= t.mask()
+		from = min(from, t.idx)
 	}
 	r.stats.TensorsDegraded++
 	r.stats.DegradedTensors = append(r.stats.DegradedTensors, name)
-	from, size := len(masks)-len(unread), len(masks)
 	r.flight.Note("degrade", name, map[string]string{
-		"from": fmt.Sprint(from), "weights": fmt.Sprint(size - from),
+		"from": fmt.Sprint(from), "weights": fmt.Sprint(len(unread)),
 	})
-	r.log.Warn("tensor degraded", "tensor", name, "from", from, "weights", size-from)
+	r.log.Warn("tensor degraded", "tensor", name, "from", from, "weights", len(unread))
 }

@@ -2,6 +2,8 @@ package extract
 
 import (
 	"math"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -372,4 +374,86 @@ func TestRunRejectsMismatchedAddressMap(t *testing.T) {
 	if oracle.BitReads != 0 {
 		t.Fatalf("rejection must precede metered reads, but %d were charged", oracle.BitReads)
 	}
+}
+
+// TestScoresAreTheLastStopCheck: a run whose last stop check scored the
+// returned clone hands out that check's two prediction vectors, equal to
+// the models' own Predictions, whether the check stopped the schedule or
+// the schedule ran out. Every run no check scored hands out none, and a
+// reused Extractor never keeps an earlier run's vectors.
+func TestScoresAreTheLastStopCheck(t *testing.T) {
+	pre, victim := smallPair()
+	dev := make([]transformer.Example, 24)
+	for i := range dev {
+		tokens := make([]int, 1+i%victim.MaxSeq)
+		for j := range tokens {
+			tokens[j] = (7*i + 3*j) % victim.Vocab
+		}
+		dev[i] = transformer.Example{Tokens: tokens, Label: i % victim.Labels}
+	}
+	newEx := func(stopRate float64, path string) *Extractor {
+		cfg := DefaultConfig()
+		cfg.StopMatchRate = stopRate
+		return &Extractor{Pre: pre, Oracle: sidechannel.NewOracle(victim), Cfg: cfg,
+			Victim: victim.Predict, CheckpointPath: path}
+	}
+	run := func(ex *Extractor, validation []transformer.Example) (*transformer.Model, *Stats) {
+		t.Helper()
+		clone, st, err := ex.Run(victim.Labels, validation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return clone, st
+	}
+
+	for _, c := range []struct {
+		name     string
+		stopRate float64
+		layers   int // encoder layers extracted
+	}{
+		{"stopped after the head", 0, 0},
+		{"schedule exhausted", 1.01, victim.Layers},
+	} {
+		ex := newEx(c.stopRate, "")
+		clone, st := run(ex, dev)
+		if st.LayersExtracted != c.layers {
+			t.Fatalf("%s: %d layers extracted, want %d", c.name, st.LayersExtracted, c.layers)
+		}
+		vp, cp := ex.Scores()
+		if !reflect.DeepEqual(vp, victim.Predictions(dev)) || !reflect.DeepEqual(cp, clone.Predictions(dev)) {
+			t.Fatalf("%s: scores %v / %v, the models predict %v / %v",
+				c.name, vp, cp, victim.Predictions(dev), clone.Predictions(dev))
+		}
+	}
+
+	noScores := func(what string, ex *Extractor, validation []transformer.Example) {
+		t.Helper()
+		run(ex, validation)
+		if vp, cp := ex.Scores(); vp != nil || cp != nil {
+			t.Fatalf("%s: scores %v / %v, want none", what, vp, cp)
+		}
+	}
+	// Resuming the completed checkpoint a scored run left behind scores
+	// nothing, on the same Extractor.
+	path := filepath.Join(t.TempDir(), "scores.ckpt")
+	ex := newEx(1.01, path)
+	run(ex, dev)
+	ex.Resume = true
+	noScores("resumed completed checkpoint", ex, dev)
+	ck, err := readCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := victim.Layers + 2; ck.LayersDone != want { // head, layers, embeddings
+		t.Fatalf("completed checkpoint has %d entries done, want %d", ck.LayersDone, want)
+	}
+	ck.Complete = false
+	if err := writeCheckpoint(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	noScores("resumed checkpoint with every entry done", ex, dev)
+	ex = newEx(0, "")
+	ex.Victim = nil
+	noScores("no victim oracle", ex, dev)
+	noScores("empty validation set", newEx(0, ""), nil)
 }

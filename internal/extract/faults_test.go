@@ -3,6 +3,7 @@ package extract
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -197,21 +198,26 @@ func TestPermanentOutageDegradesTensor(t *testing.T) {
 // there, but every bit read before it stays in the clone — including the
 // read bits of the weight the outage cut — the logical bit counters count
 // them, and only weights with an unread planned bit count as degraded.
+// The flight recorder's degrade note names the first unread weight and
+// the count of unread ones, also when weights after the cut plan no bits.
 func TestOutageMidTensorKeepsReadBits(t *testing.T) {
 	pre, victim := smallPair()
 	cfg := DefaultConfig()
 	base, truth := indexParams(pre), indexParams(victim)
-	extract := func(plan *sidechannel.FaultPlan) (map[string][]float32, *Stats) {
+	extract := func(plan *sidechannel.FaultPlan) (map[string][]float32, *Stats, []obs.FlightEvent) {
 		oracle := sidechannel.NewOracle(victim)
 		oracle.SetFaultPlan(plan)
-		ex := &Extractor{Pre: pre, Oracle: oracle, Cfg: cfg}
+		reg := obs.New()
+		flight := obs.NewFlightRecorder(0)
+		reg.SetFlight(flight)
+		ex := &Extractor{Pre: pre, Oracle: oracle, Cfg: cfg, Obs: reg}
 		clone, st, err := ex.Run(victim.Config.Labels, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return indexParams(clone), st
+		return indexParams(clone), st, flight.Events()
 	}
-	_, clean := extract(nil)
+	_, clean, _ := extract(nil)
 
 	// On a clean channel at one read per bit the head is read first, 32
 	// reads per weight, then the last encoder layer.
@@ -236,7 +242,7 @@ func TestOutageMidTensorKeepsReadBits(t *testing.T) {
 		plan   []bitTask
 		c0     int64 // channel clock before the tensor's first read
 	}{
-		{sel, false, base[sel], planTensor(cfg, base[sel], false), headReads},
+		{sel, false, base[sel], planTensor(cfg, base[sel], 0, false), headReads},
 		{head, true, make([]float32, n), planFull(n), 0},
 	} {
 		truth := truth[c.target]
@@ -255,7 +261,7 @@ func TestOutageMidTensorKeepsReadBits(t *testing.T) {
 			t.Fatalf("%s: no partly readable weight to cut at", c.target)
 		}
 
-		clone, st := extract(&sidechannel.FaultPlan{
+		clone, st, events := extract(&sidechannel.FaultPlan{
 			Outages: []sidechannel.Outage{{Param: c.target, From: c.c0 + int64(cut) + 1}}, // permanent
 		})
 		if st.TensorsDegraded != 1 || len(st.DegradedTensors) != 1 || st.DegradedTensors[0] != c.target {
@@ -279,6 +285,18 @@ func TestOutageMidTensorKeepsReadBits(t *testing.T) {
 		if st.WeightsDegraded != len(unread) {
 			t.Fatalf("%s: weights degraded %d, want the %d with an unread planned bit",
 				c.target, st.WeightsDegraded, len(unread))
+		}
+		var notes []map[string]string
+		for _, ev := range events {
+			if ev.Kind == "degrade" {
+				notes = append(notes, ev.Attrs)
+			}
+		}
+		// Both plans run in index order, so the cut's weight is the first
+		// unread one.
+		note := map[string]string{"from": fmt.Sprint(c.plan[cut].idx), "weights": fmt.Sprint(len(unread))}
+		if len(notes) != 1 || !reflect.DeepEqual(notes[0], note) {
+			t.Fatalf("%s: degrade notes %v, want one %v", c.target, notes, note)
 		}
 		lost := int64(len(c.plan) - cut)
 		wantHead, wantSel := clean.HeadBitsRead, clean.BitsChecked

@@ -25,7 +25,7 @@ func TestPlanTensorUnitsMatchesPlan(t *testing.T) {
 		bases = append(bases, p.Value.Data)
 	}
 	for i, base := range bases {
-		want := int64(len(planTensor(cfg, base, true)))
+		want := int64(len(planTensor(cfg, base, 0, true)))
 		if got := planTensorUnits(cfg, base); got != want {
 			t.Fatalf("case %d: planTensorUnits = %d, planTensor selects %d bits", i, got, want)
 		}

@@ -1,6 +1,8 @@
 package extract
 
 import (
+	"math"
+
 	"decepticon/internal/ieee754"
 )
 
@@ -22,22 +24,14 @@ func (c Config) ExtractWeightFormat(base float32, fm ieee754.Format, read func(b
 	if !isFinite(base) {
 		return fm.Value(pattern), nil
 	}
-	absBase := base
-	if absBase < 0 {
-		absBase = -absBase
-	}
-	if float64(absBase) < c.SkipThreshold {
+	if math.Abs(float64(base)) < c.SkipThreshold {
 		return fm.Value(pattern), nil
 	}
-	dist := c.gap(base)
+	first, n := gapBits(fm.UnbiasedExponent(pattern), fm.FracBits, c.gap(base), c.MaxBitsPerWeight)
 	clone := pattern
 	var checked []int
-	for k := 1; k <= fm.FracBits && len(checked) < c.MaxBitsPerWeight; k++ {
-		if fm.FractionBitValue(pattern, k) > dist {
-			continue
-		}
-		bit := read(fm.FracBits - k)
-		clone = fm.SetFractionBit(clone, k, bit)
+	for k := first; k < first+n; k++ {
+		clone = fm.SetFractionBit(clone, k, read(fm.FracBits-k))
 		checked = append(checked, k)
 	}
 	return fm.Value(clone), checked

@@ -259,15 +259,17 @@ func (t bitTask) mask() uint32 { return 1 << t.bit }
 
 // planTensor builds the tensor's read plan: exactly Algorithm 1's
 // candidate bits (Config.selectBits), one task per (weight, fraction
-// bit). Unordered, the plan stays in (index, fraction bit k) order —
+// bit). units is the plan's size as planTensorUnits counted it when the
+// run declared its progress units; it only sizes the allocation.
+// Unordered, the plan stays in (index, fraction bit k) order —
 // Algorithm 1's own read sequence. Ordered, it follows the bit's expected
 // |value correction|: its place value times a monotone estimate of the
 // flip probability value/gap implies — U-shape aware through Config.gap,
 // which grows with the pre-trained magnitude. Ties (and everything else)
 // break on (idx, k), so either plan is a pure, deterministic function of
 // (Config, base).
-func planTensor(cfg Config, base []float32, ordered bool) []bitTask {
-	tasks := make([]bitTask, 0, planTensorUnits(cfg, base))
+func planTensor(cfg Config, base []float32, units int64, ordered bool) []bitTask {
+	tasks := make([]bitTask, 0, units)
 	for i, b := range base {
 		sel, gap := cfg.selectBits(b)
 		for ; sel != 0; sel &= sel - 1 {
@@ -312,7 +314,7 @@ func planFull(n int) []bitTask {
 }
 
 // planTensorUnits counts the tensor's candidate bit set — exactly
-// len(planTensor(cfg, base, ordered)) for either order — without
+// len(planTensor(cfg, base, units, ordered)) for either order — without
 // building the plan. This is the planned simulated-unit total a
 // ProgressTracker commits to for a selective tensor: a pure function of
 // (Config, base), worker-invariant and stable across checkpoint/resume.

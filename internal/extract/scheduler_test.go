@@ -31,7 +31,7 @@ func TestPlanTensorMatchesAlgorithmOne(t *testing.T) {
 				want[[2]int{i, k}] = true
 			}
 		}
-		plan := planTensor(cfg, base, true)
+		plan := planTensor(cfg, base, 0, true)
 		got := map[[2]int]bool{}
 		for _, task := range plan {
 			key := [2]int{task.idx, ieee754.FractionBits - task.bit}
@@ -52,7 +52,7 @@ func TestPlanTensorOrdering(t *testing.T) {
 	cfg := DefaultConfig()
 	pre, _ := smallPair()
 	base := pre.Params()[0].Value.Data
-	plan := planTensor(cfg, base, true)
+	plan := planTensor(cfg, base, 0, true)
 	if len(plan) == 0 {
 		t.Fatal("empty plan for a dense tensor")
 	}
@@ -65,7 +65,7 @@ func TestPlanTensorOrdering(t *testing.T) {
 			t.Fatalf("tie at %d not broken by (idx, k): %+v then %+v", i, a, b)
 		}
 	}
-	again := planTensor(cfg, base, true)
+	again := planTensor(cfg, base, 0, true)
 	if !reflect.DeepEqual(plan, again) {
 		t.Fatal("planTensor is not deterministic")
 	}
