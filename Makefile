@@ -196,10 +196,11 @@ service-smoke:
 
 # End-to-end telemetry check (scripts/progress-smoke.sh): one campaign's
 # event ledger validates under metricscheck -events (monotonic seq, legal
-# transitions, unique terminal) across a SIGTERM kill and resume, the
-# deterministic progress document is byte-identical for 1-worker,
-# kill/resume, and 4-worker runs, and decepticontop renders the live
-# state (campaign row at 100%, tenant budget table).
+# transitions, unique terminal) across a budget interrupt, a SIGTERM
+# restart and a resume, the deterministic progress document is
+# byte-identical for 1-worker, interrupt/resume, and 4-worker runs, and
+# decepticontop renders the live state (campaign row at 100%, tenant
+# budget table).
 progress-smoke:
 	GO='$(GO)' sh scripts/progress-smoke.sh
 
@@ -220,11 +221,15 @@ race:
 # error on arbitrary bytes, never panic, and Algorithm 1's closed-form bit
 # selector must agree with its reference loop. go test -fuzz takes one target
 # per run, each at a fixed budget; a failing input lands in the package's
-# testdata/fuzz directory, where the plain test run replays it.
+# testdata/fuzz directory, where the plain test run replays it. The store
+# object target's seeds are whole models (tens of kB): minimizing each new
+# input at the default 60 s budget would spend its 20 s on one input, so
+# minimization is capped at 200 calls.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResumeCheckpoint$$' -fuzztime 20s ./internal/extract
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectBits$$' -fuzztime 20s ./internal/extract
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModalities$$' -fuzztime 20s ./internal/fingerprint
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeObject$$' -fuzztime 20s -fuzzminimizetime 200x ./internal/transformer
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -272,6 +272,29 @@ func BenchmarkZooStoreOpen(b *testing.B) {
 	}
 }
 
+// BenchmarkZooStoreReload measures one stored fine-tuned model dropped
+// and read back: the object read, its hash check and its decode — the
+// per-victim reload of a store-backed campaign that releases its models.
+func BenchmarkZooStoreReload(b *testing.B) {
+	cfg := benchColdStartCfg()
+	dir := b.TempDir()
+	if _, _, err := zoo.BuildOrOpenStore(context.Background(), cfg, dir, ""); err != nil {
+		b.Fatal(err)
+	}
+	// A warm open: its handles are lazy, so Release drops the tensors.
+	z, _, err := zoo.BuildOrOpenStore(context.Background(), cfg, dir, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ft := z.FineTuned[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ft.Release()
+		ft.Model()
+	}
+}
+
 // BenchmarkCampaignWorkers measures a RunAll campaign over every bench
 // victim at 1 vs 4 workers.
 func benchCampaignWorkers(b *testing.B, workers int) {

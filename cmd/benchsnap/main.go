@@ -383,6 +383,20 @@ func substrateSnapshot() *snapshot {
 			}
 		}
 	})
+	// Zoo reload: one stored fine-tuned model dropped and read back — the
+	// per-victim cost of a store-backed campaign that releases its models.
+	// The open is warm, so its handles are lazy.
+	z, _, err := zoo.BuildOrOpenStore(context.Background(), zcfg, storeDir, "")
+	if err != nil {
+		fatal(err)
+	}
+	ft := z.FineTuned[0]
+	measure("zoo_store_reload", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ft.Release()
+			ft.Model()
+		}
+	})
 
 	return &snapshot{
 		Version:    1,

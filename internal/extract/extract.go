@@ -28,6 +28,7 @@ import (
 	"log/slog"
 	"math"
 	"math/bits"
+	"os"
 
 	"decepticon/internal/ieee754"
 	"decepticon/internal/obs"
@@ -502,16 +503,17 @@ type Extractor struct {
 	// time. The oracle's physical meters are mirrored separately via
 	// Oracle.SetObs.
 	Obs *obs.Registry
-	// CheckpointPath, when set, persists a resumable snapshot (completed
-	// tensors, accounting, channel position) after every extracted
-	// tensor, atomically via temp-file + rename.
+	// CheckpointPath, when set, is the run's checkpoint log: after every
+	// extracted tensor the run appends one record (the tensors finished
+	// since the last record, the accounting, the channel position), so
+	// the log always replays to a resumable state (checkpoint.go).
 	CheckpointPath string
-	// Resume, when set together with CheckpointPath, restores an
-	// existing snapshot before extracting: completed tensors are not
+	// Resume, when set together with CheckpointPath, replays an
+	// existing log before extracting: completed tensors are not
 	// re-read, no hammer rounds are re-paid, and the restored meters
 	// make the registry reconcile byte-for-byte with an uninterrupted
 	// run. The caller must supply the same Pre, Cfg, FaultPlan, and
-	// noise seed as the interrupted run; a missing snapshot file simply
+	// noise seed as the interrupted run; a missing or empty log simply
 	// starts fresh.
 	Resume bool
 	// ReadBudget, when > 0, bounds the metered oracle attempts
@@ -586,6 +588,12 @@ type run struct {
 	// unless Cfg.Schedule.Enabled); its estimator state rides in
 	// checkpoints.
 	sched *scheduler
+
+	// ckpt is the checkpoint log's append handle, opened by the run's
+	// first record and closed when RunContext returns; logged counts the
+	// entries of doneOrder the log already holds.
+	ckpt   *os.File
+	logged int
 
 	// The histograms are fed live reads, so unlike the counters published
 	// from Stats they cover only work performed in this run — a resumed
@@ -718,8 +726,8 @@ func (r *run) escalate(name string, idx, bit int, rp RetryPolicy) (int, error) {
 // tensor the oracle doesn't know, or a size mismatch) is attacker-facing
 // input and returns an error before any rowhammer cost is paid.
 //
-// With CheckpointPath set the run is resumable: a snapshot is saved
-// after every tensor, and a later Run with Resume restores it —
+// With CheckpointPath set the run is resumable: a record is appended
+// after every tensor, and a later Run with Resume replays the log —
 // completed tensors are never re-read, so an interrupted-then-resumed
 // extraction is byte-identical to an uninterrupted one (clone weights,
 // Stats, and obs counters) while paying each hammer round exactly once.
@@ -742,6 +750,7 @@ func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []
 	if err != nil {
 		return nil, nil, err
 	}
+	defer r.closeLog()
 	complete, err := r.restore()
 	if err != nil {
 		return nil, nil, err
@@ -791,6 +800,9 @@ func (e *Extractor) RunContext(ctx context.Context, numLabels int, validation []
 	}
 	if err := r.save(true); err != nil {
 		return nil, nil, err
+	}
+	if err := r.closeLog(); err != nil {
+		return nil, nil, fmt.Errorf("extract: checkpoint: %w", err)
 	}
 	r.publish()
 	if r.clonePreds != nil {
@@ -900,6 +912,7 @@ func (r *run) restore() (complete bool, err error) {
 		r.doneOrder = append(r.doneOrder, t.Name)
 		r.unitsDone += r.unitsOf[t.Name]
 	}
+	r.logged = len(r.doneOrder)
 	r.layersDone = ck.LayersDone
 	r.Oracle.RestoreState(ck.Channel)
 	// The adaptive vote width is a pure function of this state; restoring
@@ -944,13 +957,14 @@ func (r *run) boundary(name string) error {
 	return r.interrupted()
 }
 
-// save writes the run's checkpoint, when CheckpointPath is set.
+// save appends one record to the run's checkpoint log, when
+// CheckpointPath is set: the run's state and the tensors finished since
+// the previous record.
 func (r *run) save(complete bool) error {
 	if r.CheckpointPath == "" {
 		return nil
 	}
-	c := &Checkpoint{
-		Version:     checkpointVersion,
+	rec := &Checkpoint{
 		Complete:    complete,
 		LayersDone:  r.layersDone,
 		Stats:       *r.stats,
@@ -959,15 +973,30 @@ func (r *run) save(complete bool) error {
 		NumLabels:   r.numLabels,
 		LayersTotal: r.Pre.Layers,
 	}
-	for _, name := range r.doneOrder {
-		c.Tensors = append(c.Tensors, checkpointTensor{Name: name, Data: r.params[name]})
+	for _, name := range r.doneOrder[r.logged:] {
+		rec.Tensors = append(rec.Tensors, checkpointTensor{Name: name, Data: r.params[name]})
 	}
-	return writeCheckpoint(r.CheckpointPath, c)
+	if err := r.appendRecord(rec); err != nil {
+		return fmt.Errorf("extract: checkpoint: %w", err)
+	}
+	r.logged = len(r.doneOrder)
+	return nil
+}
+
+// closeLog closes the checkpoint log's append handle, if the run opened
+// one and has not closed it yet.
+func (r *run) closeLog() error {
+	if r.ckpt == nil {
+		return nil
+	}
+	err := r.ckpt.Close()
+	r.ckpt = nil
+	return err
 }
 
 // interrupted is the stop check at a tensor boundary: the read budget
 // first, then the context. Both doors sit right after the checkpoint
-// write, so whichever fires leaves a resumable snapshot with the channel
+// record, so whichever fires leaves a resumable log with the channel
 // parked exactly at the boundary. The budget counts every physical
 // attempt the channel metered — successful and faulted, restored rounds
 // included — so a tensor is never split across runs.
@@ -1047,7 +1076,7 @@ func (r *run) publish() {
 
 // wrapErr maps a context error escaping a tensor loop to ErrInterrupted
 // so mid-tensor cancellation surfaces exactly like budget exhaustion.
-// The abandoned tensor is NOT checkpointed — the last boundary snapshot
+// The abandoned tensor is NOT checkpointed — the last boundary record
 // stands, and since an aborted oracle read charges no meter, a Resume
 // run re-pays only this tensor's partial work and still reproduces the
 // uninterrupted clone, Stats, and counters byte-identically.

@@ -448,9 +448,7 @@ func TestScoresAreTheLastStopCheck(t *testing.T) {
 		t.Fatalf("completed checkpoint has %d entries done, want %d", ck.LayersDone, want)
 	}
 	ck.Complete = false
-	if err := writeCheckpoint(path, ck); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, path, ck)
 	noScores("resumed checkpoint with every entry done", ex, dev)
 	ex = newEx(0, "")
 	ex.Victim = nil

@@ -650,7 +650,8 @@ func TestCancelledReadChargesNoMeter(t *testing.T) {
 
 // TestCheckpointShapeGuard: a checkpoint written for one extraction shape
 // must be refused by a resume against another — silently mixing shapes
-// would corrupt the clone.
+// would corrupt the clone — and so must a log that is corrupt rather
+// than torn.
 func TestCheckpointShapeGuard(t *testing.T) {
 	pre, victim := smallPair()
 	path := filepath.Join(t.TempDir(), "shape.ckpt")
@@ -674,19 +675,51 @@ func TestCheckpointShapeGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		what  string
-		spoil func(ck *Checkpoint)
-	}{
-		{"a different victim shape", func(ck *Checkpoint) { ck.NumLabels++ }},
-		{"another checkpoint version", func(ck *Checkpoint) { ck.Version++ }},
-		// A schedule position outside [0, len(schedule)] names no entry.
-		{"a negative schedule position", func(ck *Checkpoint) { ck.Complete, ck.LayersDone = false, -3 }},
-		{"a schedule position past its end", func(ck *Checkpoint) { ck.Complete, ck.LayersDone = false, 99 }},
-	} {
+	goodLog, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := good.Tensors[0]
+	if head.Name != "head_w" {
+		t.Fatalf("first recorded tensor %q, want head_w", head.Name)
+	}
+	// spoilt is the good fold, edited, as a one-record log; edited is the
+	// good log with its bytes edited.
+	spoilt := func(spoil func(ck *Checkpoint)) []byte {
 		bad := *good
-		c.spoil(&bad)
-		if err := writeCheckpoint(path, &bad); err != nil {
+		bad.Tensors = append([]checkpointTensor(nil), good.Tensors...)
+		spoil(&bad)
+		return logOf(t, &bad)
+	}
+	edited := func(edit func(log []byte) []byte) []byte {
+		return edit(append([]byte(nil), goodLog...))
+	}
+	for _, c := range []struct {
+		what string
+		log  []byte
+	}{
+		{"a different victim shape", spoilt(func(ck *Checkpoint) { ck.NumLabels++ })},
+		{"another checkpoint version", edited(func(log []byte) []byte { log[len(logMagic)]++; return log })},
+		// A schedule position outside [0, len(schedule)] names no entry.
+		{"a negative schedule position", spoilt(func(ck *Checkpoint) { ck.Complete, ck.LayersDone = false, -3 })},
+		{"a schedule position past its end", spoilt(func(ck *Checkpoint) { ck.Complete, ck.LayersDone = false, 99 })},
+		// A repeated tensor would be credited again: progress past its plan.
+		{"a tensor listed twice", spoilt(func(ck *Checkpoint) { ck.Tensors = append(ck.Tensors, head, head, head) })},
+		{"a tensor recorded again by a later record", edited(func(log []byte) []byte {
+			frame, err := encodeRecord(&Checkpoint{Complete: true, LayersDone: good.LayersDone, Tensors: []checkpointTensor{head},
+				Stats: good.Stats, Channel: good.Channel, NumLabels: good.NumLabels, LayersTotal: good.LayersTotal})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append(log, frame...)
+		})},
+		// The first record's stored CRC, not its payload, is what changes.
+		{"a complete record failing its CRC", edited(func(log []byte) []byte { log[len(logHeader)+4] ^= 1; return log })},
+		{"another magic", edited(func(log []byte) []byte { log[1] = 'X'; return log })},
+		{"a version-3 gob snapshot", v3Snapshot(t, good)},
+		{"a short file that is not a log header", []byte("\x89CKX")},
+	} {
+		if err := os.WriteFile(path, c.log, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := ex2.Run(victim.Config.Labels, nil); err == nil {
@@ -697,8 +730,8 @@ func TestCheckpointShapeGuard(t *testing.T) {
 
 // FuzzResumeCheckpoint: a checkpoint is durable state read back from
 // disk, so resuming from arbitrary bytes returns an error or a clone,
-// never a panic. The seeds are a budget-interrupted and a completed
-// checkpoint of the same extraction.
+// never a panic. The seeds are a budget-interrupted log, the completed
+// log its resume appended to, and a torn prefix of that log.
 func FuzzResumeCheckpoint(f *testing.F) {
 	pre, victim := smallPair()
 	newEx := func(path string, resume bool, budget int64) *Extractor {
@@ -712,21 +745,23 @@ func FuzzResumeCheckpoint(f *testing.F) {
 		}
 	}
 	path := filepath.Join(f.TempDir(), "seed.ckpt")
-	addSeed := func() {
+	readSeed := func() []byte {
 		seed, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(seed)
+		return seed
 	}
 	if _, _, err := newEx(path, false, 1000).Run(victim.Config.Labels, nil); !errors.Is(err, ErrInterrupted) {
 		f.Fatalf("seed run: want ErrInterrupted, got %v", err)
 	}
-	addSeed()
+	f.Add(readSeed())
 	if _, _, err := newEx(path, true, 0).Run(victim.Config.Labels, nil); err != nil {
 		f.Fatal(err)
 	}
-	addSeed()
+	complete := readSeed()
+	f.Add(complete)
+	f.Add(complete[:len(complete)-5])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

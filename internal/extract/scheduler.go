@@ -33,9 +33,10 @@
 package extract
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"decepticon/internal/ieee754"
 )
@@ -284,20 +285,31 @@ func planTensor(cfg Config, base []float32, units int64, ordered bool) []bitTask
 			})
 		}
 	}
-	if !ordered {
-		return tasks
+	if ordered {
+		sortPlan(tasks)
 	}
-	sort.SliceStable(tasks, func(a, b int) bool {
-		ta, tb := tasks[a], tasks[b]
-		if ta.score != tb.score {
-			return ta.score > tb.score
-		}
-		if ta.idx != tb.idx {
-			return ta.idx < tb.idx
-		}
-		return ta.bit > tb.bit // fraction bit k ascending
-	})
 	return tasks
+}
+
+// sortPlan orders a plan by score descending, ties broken on weight index
+// and then fraction bit k ascending. The comparator is negative exactly
+// when a task goes first; a NaN score goes before nothing and nothing
+// goes before it on score, and the sort is stable, so the order stays a
+// pure function of the plan.
+func sortPlan(tasks []bitTask) {
+	slices.SortStableFunc(tasks, func(ta, tb bitTask) int {
+		switch {
+		case ta.score != tb.score:
+			if ta.score > tb.score {
+				return -1
+			}
+			return 1
+		case ta.idx != tb.idx:
+			return cmp.Compare(ta.idx, tb.idx)
+		default:
+			return cmp.Compare(tb.bit, ta.bit) // fraction bit k ascending
+		}
+	})
 }
 
 // planFull is the plan of a tensor with no baseline to select against —

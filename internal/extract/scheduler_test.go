@@ -5,10 +5,12 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"decepticon/internal/ieee754"
 	"decepticon/internal/obs"
+	"decepticon/internal/rng"
 	"decepticon/internal/sidechannel"
 	"decepticon/internal/transformer"
 )
@@ -68,6 +70,50 @@ func TestPlanTensorOrdering(t *testing.T) {
 	again := planTensor(cfg, base, 0, true)
 	if !reflect.DeepEqual(plan, again) {
 		t.Fatal("planTensor is not deterministic")
+	}
+}
+
+// refSortPlan is sortPlan as the reflection-swapping stable sort it was
+// first written as.
+func refSortPlan(tasks []bitTask) {
+	sort.SliceStable(tasks, func(a, b int) bool {
+		ta, tb := tasks[a], tasks[b]
+		if ta.score != tb.score {
+			return ta.score > tb.score
+		}
+		if ta.idx != tb.idx {
+			return ta.idx < tb.idx
+		}
+		return ta.bit > tb.bit
+	})
+}
+
+// TestSortPlanMatchesReference: sortPlan places every task where the
+// reference sort does, on random plans dense in ties and NaN scores and
+// long enough to take the stable merge, not only the insertion sort.
+func TestSortPlanMatchesReference(t *testing.T) {
+	r := rng.New(7)
+	scores := []float64{0, 1e-4, 2e-4, 2e-4, 3e-3, math.NaN(), math.Inf(1)}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(300)
+		plan := make([]bitTask, n)
+		for i := range plan {
+			plan[i] = bitTask{
+				idx:   r.Intn(8),
+				bit:   r.Intn(23),
+				value: float64(i), // tells equal tasks apart
+				score: scores[r.Intn(len(scores))],
+			}
+		}
+		want := append([]bitTask(nil), plan...)
+		refSortPlan(want)
+		sortPlan(plan)
+		for i := range plan {
+			if plan[i].value != want[i].value {
+				t.Fatalf("trial %d (%d tasks): position %d holds task %v, the reference %v",
+					trial, n, i, plan[i].value, want[i].value)
+			}
+		}
 	}
 }
 
@@ -451,17 +497,14 @@ func TestScheduledStuckBitsKeepBaseline(t *testing.T) {
 	}
 }
 
-// TestSchedulerStateRoundTrip: the estimator state must survive the gob
-// checkpoint round trip field by field.
+// TestSchedulerStateRoundTrip: the estimator state must survive the
+// checkpoint log's round trip field by field.
 func TestSchedulerStateRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.ckpt")
 	in := &Checkpoint{
-		Version: checkpointVersion,
-		Sched:   SchedulerState{VoteReads: 123, MinorityReads: 7, SinceProbe: 41},
+		Sched: SchedulerState{VoteReads: 123, MinorityReads: 7, SinceProbe: 41},
 	}
-	if err := writeCheckpoint(path, in); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpoint(t, path, in)
 	out, err := readCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"decepticon/internal/fsatomic"
 )
 
 // The campaign event ledger: <dir>/events.ndjson, one Event per line,
@@ -66,21 +68,20 @@ type ledger struct {
 	size int64 // bytes of whole lines on disk (readers never see a torn tail)
 }
 
-// openLedger opens (creating if absent) a campaign's ledger for append.
-// An existing file is scanned first: the last full line fixes the next
-// sequence number, and a torn final line — a crash mid-append — is
-// truncated away so the file holds only whole events.
+// openLedger opens (creating if absent) a campaign's ledger for append
+// through fsatomic.OpenAppend: a record is a line, so the whole records
+// run through the last newline, and a torn final line — a crash
+// mid-append — is truncated away so the file holds only whole events.
+// The last full line fixes the next sequence number.
 func openLedger(path string) (*ledger, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("service: read ledger: %w", err)
-	}
-	whole := len(data)
-	if i := bytes.LastIndexByte(data, '\n'); i < len(data)-1 {
-		whole = i + 1 // torn tail: keep through the last newline
+	f, data, err := fsatomic.OpenAppend(path, func(data []byte) (int, error) {
+		return bytes.LastIndexByte(data, '\n') + 1, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("service: open ledger: %w", err)
 	}
 	var seq int64
-	for _, line := range bytes.Split(data[:whole], []byte{'\n'}) {
+	for _, line := range bytes.Split(data, []byte{'\n'}) {
 		if len(line) == 0 {
 			continue
 		}
@@ -89,16 +90,7 @@ func openLedger(path string) (*ledger, error) {
 			seq = ev.Seq
 		}
 	}
-	if whole < len(data) {
-		if err := os.Truncate(path, int64(whole)); err != nil {
-			return nil, fmt.Errorf("service: truncate torn ledger tail: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("service: open ledger: %w", err)
-	}
-	return &ledger{f: f, seq: seq, size: int64(whole)}, nil
+	return &ledger{f: f, seq: seq, size: int64(len(data))}, nil
 }
 
 // append stamps the event with the next sequence number and the current

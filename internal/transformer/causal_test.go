@@ -1,7 +1,6 @@
 package transformer
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -146,9 +145,9 @@ func TestCausalModelTrains(t *testing.T) {
 	}
 }
 
-// Save/Load round-trips a model exactly: the causal flag, the
-// head-pruning masks, and the logits all survive. Every zoo store object
-// goes through this path.
+// EncodeObject/DecodeObject round-trips a model exactly: the causal flag,
+// the head-pruning masks, and the logits all survive. Every zoo store
+// object goes through this path.
 func TestCausalSerializationRoundTrip(t *testing.T) {
 	pruned := New(testConfig(), 26)
 	pruned.PruneHeads(1, 0)
@@ -162,11 +161,7 @@ func TestCausalSerializationRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := tc.m.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			got, err := Load(&buf)
+			got, err := DecodeObject(tc.m.EncodeObject())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,6 +56,34 @@ func (m *Model) Params() []NamedParam {
 	return ps
 }
 
+// paramShape is one parameter tensor's name and shape.
+type paramShape struct {
+	name       string
+	rows, cols int
+}
+
+// paramShapes lists the tensors of a model with configuration c — the
+// names and shapes Params() returns, in its order — without allocating
+// one.
+func paramShapes(c Config) []paramShape {
+	h, f := c.Hidden, c.FFN
+	block := []paramShape{
+		{"wq", h, h}, {"bq", 1, h}, {"wk", h, h}, {"bk", 1, h},
+		{"wv", h, h}, {"bv", 1, h}, {"wo", h, h}, {"bo", 1, h},
+		{"ln1g", 1, h}, {"ln1b", 1, h},
+		{"w1", h, f}, {"b1", 1, f}, {"w2", f, h}, {"b2", 1, h},
+		{"ln2g", 1, h}, {"ln2b", 1, h},
+	}
+	ps := make([]paramShape, 0, 4+len(block)*c.Layers)
+	ps = append(ps, paramShape{"tok_emb", c.Vocab, h}, paramShape{"pos_emb", c.MaxSeq, h})
+	for l := 0; l < c.Layers; l++ {
+		for _, s := range block {
+			ps = append(ps, paramShape{fmt.Sprintf("block%d.%s", l, s.name), s.rows, s.cols})
+		}
+	}
+	return append(ps, paramShape{"head_w", h, c.Labels}, paramShape{"head_b", 1, c.Labels})
+}
+
 // ParamCount returns the total number of scalar weights in the model.
 func (m *Model) ParamCount() int {
 	n := 0

@@ -1,8 +1,6 @@
 package zoo
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -26,8 +24,8 @@ import (
 //
 // Layout:
 //
-//	dir/manifest.json          — version, build config, one entry per model
-//	dir/objects/<name>--<key8>.gz — gzipped transformer gob (the tensors)
+//	dir/manifest.json                — version, build config, one entry per model
+//	dir/objects/<name>--<key8>.model — the model's raw object (the tensors)
 //
 // Each manifest entry carries the model's config key — a SHA-256 over
 // every input that determines its weights (catalog fields, training
@@ -51,8 +49,11 @@ import (
 // byte-identical to the same model from a full build — store-grown and
 // freshly-built populations are indistinguishable (pinned by test).
 
-// storeVersion guards the manifest schema.
-const storeVersion = 1
+// storeVersion guards the manifest schema and the object format. Version
+// 2 stores raw objects (transformer.EncodeObject) where version 1 stored
+// gzipped gob. An older manifest is refused like an unreadable one, so an
+// old store retrains every entry and gcObjects removes its objects.
+const storeVersion = 2
 
 type manifestEntry struct {
 	Name   string `json:"name"`
@@ -157,30 +158,7 @@ func objectName(name, key string) string {
 			return '_'
 		}
 	}, name)
-	return safe + "--" + key[:8] + ".gz"
-}
-
-// encodeObject gzips a model's gob bytes. Go's gzip writer emits no
-// timestamp, so object bytes are deterministic.
-func encodeObject(m *transformer.Model) ([]byte, error) {
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	if err := m.Save(gz); err != nil {
-		return nil, err
-	}
-	if err := gz.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeObject(data []byte) (*transformer.Model, error) {
-	gz, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	defer gz.Close()
-	return transformer.Load(gz)
+	return safe + "--" + key[:8] + ".model"
 }
 
 func hashBytes(data []byte) string {
@@ -240,7 +218,7 @@ func lazyHandle(dir string, me manifestEntry) *transformer.Handle {
 		if err != nil {
 			return nil, fmt.Errorf("zoo store %s: %w", me.Name, err)
 		}
-		return decodeObject(data)
+		return transformer.DecodeObject(data)
 	})
 }
 
@@ -370,10 +348,7 @@ func BuildOrOpenStore(ctx context.Context, cfg BuildConfig, dir, _ string) (*Zoo
 			shells[i].handle = lazyHandle(dir, newEntries[i])
 			continue
 		}
-		data, err := encodeObject(p.Model())
-		if err != nil {
-			return nil, nil, fmt.Errorf("zoo: store write %s: %w", d.name, err)
-		}
+		data := p.Model().EncodeObject()
 		me := manifestEntry{Name: d.name, Kind: d.kind, Key: d.key,
 			Object: objectName(d.name, d.key), SHA256: hashBytes(data)}
 		if err := fsatomic.WriteFile(filepath.Join(dir, "objects", me.Object), data); err != nil {
@@ -410,10 +385,7 @@ func BuildOrOpenStore(ctx context.Context, cfg BuildConfig, dir, _ string) (*Zoo
 		di := cfg.NumPretrained + i
 		d := desired[di]
 		if f := ftTrained[i]; f != nil {
-			data, err := encodeObject(f.Model())
-			if err != nil {
-				return nil, nil, fmt.Errorf("zoo: store write %s: %w", d.name, err)
-			}
+			data := f.Model().EncodeObject()
 			me := manifestEntry{Name: d.name, Kind: d.kind, Key: d.key,
 				Object: objectName(d.name, d.key), SHA256: hashBytes(data)}
 			if err := fsatomic.WriteFile(filepath.Join(dir, "objects", me.Object), data); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -266,4 +267,61 @@ func TestStoreWorkerCountInvariance(t *testing.T) {
 			t.Fatalf("object %s differs across worker counts", de.Name())
 		}
 	}
+}
+
+// A version-1 store (gzipped gob objects) is refused as a whole: every
+// entry retrains, the old objects are collected, and the store ends up
+// byte-identical to a fresh one. The old store is simulated from a fresh
+// one — version-1 manifest, objects renamed to their .gz names — because
+// its content is never read.
+func TestStoreMigratesV1ByRetraining(t *testing.T) {
+	cfg := storeCfg()
+	fresh, old := t.TempDir(), t.TempDir()
+	openStore(t, cfg, fresh)
+	openStore(t, cfg, old)
+	man, err := readManifest(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, me := range man.Entries {
+		gz := strings.TrimSuffix(me.Object, ".model") + ".gz"
+		if err := os.Rename(filepath.Join(old, "objects", me.Object), filepath.Join(old, "objects", gz)); err != nil {
+			t.Fatal(err)
+		}
+		man.Entries[i].Object = gz
+	}
+	man.Version = 1
+	if err := writeManifest(old, man); err != nil {
+		t.Fatal(err)
+	}
+
+	_, stats := openStore(t, cfg, old)
+	if stats.Trained() != cfg.NumPretrained+cfg.NumFineTuned || stats.Reused != 0 {
+		t.Fatalf("v1 store: trained %d, reused %d; want every entry retrained", stats.Trained(), stats.Reused)
+	}
+	for _, name := range []string{"manifest.json", "objects"} {
+		want, got := treeBytes(t, filepath.Join(fresh, name)), treeBytes(t, filepath.Join(old, name))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("migrated %s differs from a fresh store's: %d files vs %d", name, len(got), len(want))
+		}
+	}
+}
+
+// treeBytes maps every file under root (root itself when it is a file)
+// to its content.
+func treeBytes(t *testing.T, root string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, de os.DirEntry, err error) error {
+		if err != nil || de.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		out[strings.TrimPrefix(path, root)] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
